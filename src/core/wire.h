@@ -2,10 +2,13 @@
 //
 // Everything that crosses an LPM socket — sibling channels, tool
 // channels, and the 112-byte kernel event messages of Table 1 — is
-// defined here as a typed message with explicit byte-level encode and
-// decode.  Messages are one-per-frame on the (message-preserving)
-// stream circuits of net::Network, so no additional length framing is
-// needed; a real port would prepend a u32 length.
+// defined here as a typed message.  wire.cc describes each message once,
+// as a field list, plus one row of its opcode table; one generic writer
+// and one generic reader (core/codec.h) derive the bytes from those.
+// The kernel event keeps its own fixed-offset codec.  Messages are
+// one-per-frame on the (message-preserving) stream circuits of
+// net::Network, so no additional length framing is needed; a real port
+// would prepend a u32 length.
 //
 // Request/response correlation is by req_id, unique per issuing LPM.
 // Broadcast requests additionally carry <origin host, broadcast seq,
@@ -217,7 +220,7 @@ struct SnapshotResp {
   std::string replier_host;
   std::vector<std::string> forwarded_to;  // hosts this replier re-broadcast to
   std::vector<std::string> route;         // reverse route for the way back
-  size_t route_index = 0;                 // next hop on the way back
+  uint32_t route_index = 0;               // next hop on the way back
   std::vector<ProcRecord> records;
   bool operator==(const SnapshotResp&) const = default;
 };
@@ -495,7 +498,7 @@ struct StatResp {
   std::string replier_host;
   std::vector<std::string> forwarded_to;
   std::vector<std::string> route;
-  size_t route_index = 0;
+  uint32_t route_index = 0;
   std::vector<LpmStatRecord> records;
   bool operator==(const StatResp&) const = default;
 };
@@ -617,8 +620,8 @@ struct BusyResp {
 // Administration of a distributed computation is dominated by *group*
 // actions: start N workers at once, synchronize them, signal or reap
 // them together.  All group messages ride under the kGroupMsgTag escape
-// opcode plus a sub-byte (their variant index minus kGroupIndexBase),
-// so pre-group parsers reject them cleanly.  Like every other request
+// opcode plus a sub-byte (see the opcode map below), so pre-group
+// parsers reject them cleanly.  Like every other request
 // they are deadline-stamped (0xF7) and idempotency-token aware, so the
 // overload protection of the core applies unchanged.
 
@@ -891,6 +894,9 @@ using Msg = std::variant<HelloSibling, HelloTool, HelloAck, HelloReject, CreateR
 
 // --- wire opcode map --------------------------------------------------------
 //
+// The opcode table in wire.cc (kOpcodes, one row per Msg type) is the
+// authority; this is a summary of it.
+//
 //   0x00..0x1C  plain messages, tag = Msg variant index (29 types)
 //   0xF3        BusyResp (admission-control rejection)
 //   0xF4        checksum header (Fletcher-16, always first)
@@ -898,7 +904,7 @@ using Msg = std::variant<HelloSibling, HelloTool, HelloAck, HelloReject, CreateR
 //   0xF6        STAT protocol, sub-byte 0 = StatReq, 1 = StatResp,
 //                 2 = StatSubscribe, 3 = StatDelta, 4 = StatUnsubscribe
 //   0xF7        deadline / idempotency header
-//   0xF8        group operations, sub-byte = variant index − kGroupIndexBase:
+//   0xF8        group operations, sub-byte:
 //                 0 GroupSpawnReq    1 GroupSpawnResp   2 GroupPartReq
 //                 3 GroupPartResp    4 GroupUndoReq     5 GroupAck
 //                 6 GroupExitNotify  7 GroupAddNotify   8 GroupSignalReq
@@ -927,7 +933,7 @@ constexpr uint8_t kChecksumHeaderTag = 0xF4;
 constexpr size_t kChecksumHeaderBytes = 1 + 2;  // escape + u16 checksum
 
 // STAT protocol escape.  The STAT family does not encode under variant
-// indices like the other messages: every member rides under this opcode
+// indices like the plain messages: every member rides under this opcode
 // (the next escape value after the trace header) followed by a sub-byte.
 // Pre-STAT parsers see an unknown tag and reject the frame cleanly
 // instead of misdecoding it; parsers predating the subscription sub-ops
@@ -958,19 +964,10 @@ constexpr size_t kDeadlineHeaderBytes = 1 + 2 * 8;  // escape + two u64s
 constexpr uint8_t kBusyMsgTag = 0xF3;
 
 // Group operations escape.  The 0xF8 frame family: every group /
-// barrier / global-envar message rides under this opcode plus a
-// sub-byte equal to its Msg variant index minus kGroupIndexBase, so
-// pre-group parsers see an unknown tag and reject the frame cleanly.
+// barrier / global-envar message rides under this opcode plus the
+// sub-byte its opcode-table row assigns, so pre-group parsers see an
+// unknown tag and reject the frame cleanly.
 constexpr uint8_t kGroupMsgTag = 0xF8;
-constexpr size_t kGroupIndexBase = 32;  // variant index of GroupSpawnReq
-constexpr size_t kGroupSubCount = 24;   // number of group message types
-
-// The STAT subscription family (StatSubscribe/StatDelta/StatUnsubscribe)
-// sits after the group family in the variant but encodes under 0xF6
-// sub-bytes 2..4 like its StatReq/StatResp elders, not under its variant
-// indices.
-constexpr size_t kStatStreamIndexBase = kGroupIndexBase + kGroupSubCount;  // 56
-constexpr size_t kStatStreamSubCount = 3;
 
 struct DeadlineStamp {
   uint64_t deadline_us = 0;  // absolute sim time; 0 = no deadline

@@ -1,9 +1,34 @@
 #include "store/lpm_store.h"
 
+#include <tuple>
+
+#include "core/codec.h"
 #include "obs/metrics.h"
 #include "util/bytes.h"
 
 namespace ppm::store {
+
+namespace codec = core::codec;
+
+// --- field lists of the store's records ---------------------------------------
+// Walked by core/codec.h, which also holds the lists of the core records
+// (GPid, HistEvent, TriggerSpec, RusageRecord) the journal shares with the
+// wire protocol.  Argument-dependent lookup finds them beside their types;
+// static keeps them private to this file.
+
+static auto Fields(ProcHint& h) { return std::tie(h.logical_parent, h.command); }
+static auto Fields(GroupMemberHint& h) { return std::tie(h.gpid, h.exited, h.exit_status); }
+static auto Fields(LocalMemberHint& h) { return std::tie(h.group, h.coordinator); }
+static auto Fields(EnvarHint& h) { return std::tie(h.value, h.version, h.origin); }
+
+// The checkpoint body after its magic: every section of the state a warm
+// restart recovers, in file order.  The replay bookkeeping (found,
+// replayed_records, torn_bytes) is not stored.
+static auto Fields(RecoveredState& st) {
+  return std::tie(st.last_seq, st.generation, st.ccs_host, st.events, st.triggers, st.rusage,
+                  st.procs, st.remote_children, st.groups, st.group_local, st.envars,
+                  st.barrier_epochs);
+}
 
 namespace {
 
@@ -39,90 +64,6 @@ StoreMetrics& Metrics() {
 // journal alone.
 constexpr uint32_t kCkptMagic = 0x324B4350;  // 'P' 'C' 'K' '2'
 
-// --- shared-type field encoders --------------------------------------------
-// Same field rules as core/wire.cc (little-endian, u32-length strings).
-// Re-encoded here so the store does not depend on core's wire code.
-
-void PutGPid(util::ByteWriter& w, const core::GPid& g) {
-  w.Str(g.host);
-  w.I32(g.pid);
-}
-
-std::optional<core::GPid> GetGPid(util::ByteReader& r) {
-  auto host = r.Str();
-  auto pid = r.I32();
-  if (!host || !pid) return std::nullopt;
-  core::GPid g;
-  g.host = *host;
-  g.pid = *pid;
-  return g;
-}
-
-void PutHistEvent(util::ByteWriter& w, const core::HistEvent& ev) {
-  w.U64(ev.at);
-  w.U8(static_cast<uint8_t>(ev.kind));
-  w.I32(ev.pid);
-  w.I32(ev.other);
-  w.U8(static_cast<uint8_t>(ev.sig));
-  w.I32(ev.status);
-  w.Str(ev.detail);
-}
-
-std::optional<core::HistEvent> GetHistEvent(util::ByteReader& r) {
-  core::HistEvent ev;
-  auto at = r.U64();
-  auto kind = r.U8();
-  auto pid = r.I32();
-  auto other = r.I32();
-  auto sig = r.U8();
-  auto status = r.I32();
-  auto detail = r.Str();
-  if (!at || !kind || !pid || !other || !sig || !status || !detail) return std::nullopt;
-  ev.at = *at;
-  ev.kind = static_cast<host::KEvent>(*kind);
-  ev.pid = *pid;
-  ev.other = *other;
-  ev.sig = static_cast<host::Signal>(*sig);
-  ev.status = *status;
-  ev.detail = std::move(*detail);
-  return ev;
-}
-
-void PutTriggerSpec(util::ByteWriter& w, const core::TriggerSpec& spec) {
-  w.U8(static_cast<uint8_t>(spec.event_kind));
-  w.I32(spec.subject_pid);
-  w.U8(static_cast<uint8_t>(spec.action));
-  w.U8(static_cast<uint8_t>(spec.action_signal));
-  PutGPid(w, spec.action_target);
-  w.Str(spec.migrate_dest);
-  w.Str(spec.spawn_command);
-  w.Str(spec.group);
-}
-
-std::optional<core::TriggerSpec> GetTriggerSpec(util::ByteReader& r) {
-  core::TriggerSpec spec;
-  auto kind = r.U8();
-  auto pid = r.I32();
-  auto action = r.U8();
-  auto sig = r.U8();
-  auto target = GetGPid(r);
-  auto dest = r.Str();
-  auto cmd = r.Str();
-  auto group = r.Str();
-  if (!kind || !pid || !action || !sig || !target || !dest || !cmd || !group)
-    return std::nullopt;
-  if (*action > static_cast<uint8_t>(core::TriggerAction::kSpawn)) return std::nullopt;
-  spec.event_kind = static_cast<host::KEvent>(*kind);
-  spec.subject_pid = *pid;
-  spec.action = static_cast<core::TriggerAction>(*action);
-  spec.action_signal = static_cast<host::Signal>(*sig);
-  spec.action_target = std::move(*target);
-  spec.migrate_dest = std::move(*dest);
-  spec.spawn_command = std::move(*cmd);
-  spec.group = std::move(*group);
-  return spec;
-}
-
 // Marks `gpid` exited in `group`'s member list, appending the member if
 // it was never journaled (exit surviving a rollback race).
 void ApplyGroupExit(RecoveredState& st, const std::string& group,
@@ -138,344 +79,151 @@ void ApplyGroupExit(RecoveredState& st, const std::string& group,
   members.push_back(GroupMemberHint{gpid, true, status});
 }
 
-void PutRusageRecord(util::ByteWriter& w, const core::RusageRecord& rec) {
-  PutGPid(w, rec.gpid);
-  w.Str(rec.command);
-  w.I32(rec.exit_status);
-  w.Bool(rec.killed_by_signal);
-  w.U8(static_cast<uint8_t>(rec.death_signal));
-  w.U64(rec.start_time);
-  w.U64(rec.end_time);
-  w.U64(static_cast<uint64_t>(rec.rusage.cpu_time));
-  w.U64(rec.rusage.messages_sent);
-  w.U64(rec.rusage.messages_received);
-  w.U64(rec.rusage.files_opened);
-  w.U64(rec.rusage.max_rss_kb);
-  w.U64(rec.rusage.forks);
-}
-
-std::optional<core::RusageRecord> GetRusageRecord(util::ByteReader& r) {
-  core::RusageRecord rec;
-  auto gpid = GetGPid(r);
-  auto command = r.Str();
-  auto status = r.I32();
-  auto killed = r.Bool();
-  auto sig = r.U8();
-  auto start = r.U64();
-  auto end = r.U64();
-  auto cpu = r.U64();
-  auto sent = r.U64();
-  auto recv = r.U64();
-  auto files = r.U64();
-  auto rss = r.U64();
-  auto forks = r.U64();
-  if (!gpid || !command || !status || !killed || !sig || !start || !end || !cpu ||
-      !sent || !recv || !files || !rss || !forks)
-    return std::nullopt;
-  rec.gpid = std::move(*gpid);
-  rec.command = std::move(*command);
-  rec.exit_status = *status;
-  rec.killed_by_signal = *killed;
-  rec.death_signal = static_cast<host::Signal>(*sig);
-  rec.start_time = *start;
-  rec.end_time = *end;
-  rec.rusage.cpu_time = static_cast<sim::SimDuration>(*cpu);
-  rec.rusage.messages_sent = *sent;
-  rec.rusage.messages_received = *recv;
-  rec.rusage.files_opened = *files;
-  rec.rusage.max_rss_kb = *rss;
-  rec.rusage.forks = *forks;
-  return rec;
-}
-
 // --- record application ------------------------------------------------------
 
 // Applies one decoded journal payload to `st`.  Returns false when the
 // payload is malformed (a CRC-valid frame whose fields do not decode —
-// should not happen, but a store must never crash its manager).
+// should not happen, but a store must never crash its manager).  Each
+// record decodes into locals first, so a malformed one leaves `st`
+// untouched.
 bool ApplyRecord(RecoveredState& st, const std::vector<uint8_t>& payload) {
-  util::ByteReader r(payload);
-  auto seq = r.U64();
-  auto type = r.U8();
-  if (!seq || !type) return false;
-  if (*seq <= st.last_seq && st.found) {
+  codec::Reader r(payload.data(), payload.size());
+  uint64_t seq = 0;
+  uint8_t type = 0;
+  if (!codec::GetAll(r, seq, type)) return false;
+  if (seq <= st.last_seq && st.found) {
     // Pre-checkpoint record surviving an interrupted compaction: the
     // checkpoint already covers it.
     return true;
   }
-  switch (static_cast<RecordType>(*type)) {
+  switch (static_cast<RecordType>(type)) {
     case RecordType::kBoot: {
-      auto gen = r.U32();
-      if (!gen) return false;
+      uint32_t gen = 0;
+      if (!codec::Get(r, gen)) return false;
       // A new kernel generation means every process of the previous one
       // died with the host; those pids may be reused, so the genealogy
       // hints are void.  History, triggers, rusage and the CCS hint
       // survive — that is the point of the store.
-      if (*gen != st.generation) {
+      if (gen != st.generation) {
         st.procs.clear();
         st.remote_children.clear();
       }
-      st.generation = *gen;
+      st.generation = gen;
       break;
     }
     case RecordType::kEvent: {
-      auto ev = GetHistEvent(r);
-      if (!ev) return false;
-      st.events.push_back(std::move(*ev));
+      core::HistEvent ev;
+      if (!codec::Get(r, ev)) return false;
+      st.events.push_back(std::move(ev));
       break;
     }
     case RecordType::kTriggerInstall: {
-      auto id = r.U64();
-      auto spec = GetTriggerSpec(r);
-      if (!id || !spec) return false;
-      st.triggers[*id] = std::move(*spec);
+      uint64_t id = 0;
+      core::TriggerSpec spec;
+      if (!codec::GetAll(r, id, spec)) return false;
+      st.triggers[id] = std::move(spec);
       break;
     }
     case RecordType::kTriggerRemove: {
-      auto id = r.U64();
-      if (!id) return false;
-      st.triggers.erase(*id);
+      uint64_t id = 0;
+      if (!codec::Get(r, id)) return false;
+      st.triggers.erase(id);
       break;
     }
     case RecordType::kRusage: {
-      auto rec = GetRusageRecord(r);
-      if (!rec) return false;
-      st.rusage.push_back(std::move(*rec));
+      core::RusageRecord rec;
+      if (!codec::Get(r, rec)) return false;
+      st.rusage.push_back(std::move(rec));
       break;
     }
     case RecordType::kProcNew: {
-      auto pid = r.I32();
-      auto parent = GetGPid(r);
-      auto command = r.Str();
-      if (!pid || !parent || !command) return false;
-      st.procs[*pid] = ProcHint{std::move(*parent), std::move(*command)};
+      host::Pid pid = 0;
+      ProcHint hint;
+      if (!codec::GetAll(r, pid, hint)) return false;
+      st.procs[pid] = std::move(hint);
       break;
     }
     case RecordType::kProcExit: {
-      auto pid = r.I32();
-      if (!pid) return false;
-      st.procs.erase(*pid);
+      host::Pid pid = 0;
+      if (!codec::Get(r, pid)) return false;
+      st.procs.erase(pid);
       break;
     }
     case RecordType::kRemoteChild: {
-      auto pid = r.I32();
-      auto child = GetGPid(r);
-      if (!pid || !child) return false;
-      st.remote_children.emplace_back(*pid, std::move(*child));
+      std::pair<host::Pid, core::GPid> link;
+      if (!codec::Get(r, link)) return false;
+      st.remote_children.push_back(std::move(link));
       break;
     }
     case RecordType::kCcs: {
-      auto ccs = r.Str();
-      if (!ccs) return false;
-      st.ccs_host = std::move(*ccs);
+      std::string ccs;
+      if (!codec::Get(r, ccs)) return false;
+      st.ccs_host = std::move(ccs);
       break;
     }
     case RecordType::kGroupMember: {
-      auto group = r.Str();
-      auto gpid = GetGPid(r);
-      if (!group || !gpid) return false;
-      st.groups[*group].push_back(GroupMemberHint{std::move(*gpid), false, 0});
+      std::string group;
+      core::GPid gpid;
+      if (!codec::GetAll(r, group, gpid)) return false;
+      st.groups[group].push_back(GroupMemberHint{std::move(gpid), false, 0});
       break;
     }
     case RecordType::kGroupExit: {
-      auto group = r.Str();
-      auto gpid = GetGPid(r);
-      auto status = r.I32();
-      if (!group || !gpid || !status) return false;
-      ApplyGroupExit(st, *group, *gpid, *status);
+      std::string group;
+      core::GPid gpid;
+      int32_t status = 0;
+      if (!codec::GetAll(r, group, gpid, status)) return false;
+      ApplyGroupExit(st, group, gpid, status);
       break;
     }
     case RecordType::kGroupLocalMember: {
-      auto pid = r.I32();
-      auto group = r.Str();
-      auto coord = r.Str();
-      if (!pid || !group || !coord) return false;
-      st.group_local[*pid] = LocalMemberHint{std::move(*group), std::move(*coord)};
+      host::Pid pid = 0;
+      LocalMemberHint hint;
+      if (!codec::GetAll(r, pid, hint)) return false;
+      st.group_local[pid] = std::move(hint);
       break;
     }
     case RecordType::kGroupLocalRemove: {
-      auto pid = r.I32();
-      if (!pid) return false;
-      st.group_local.erase(*pid);
+      host::Pid pid = 0;
+      if (!codec::Get(r, pid)) return false;
+      st.group_local.erase(pid);
       break;
     }
     case RecordType::kEnvar: {
-      auto key = r.Str();
-      auto value = r.Str();
-      auto version = r.U64();
-      auto origin = r.Str();
-      if (!key || !value || !version || !origin) return false;
-      st.envars[*key] = EnvarHint{std::move(*value), *version, std::move(*origin)};
+      std::string key;
+      EnvarHint hint;
+      if (!codec::GetAll(r, key, hint)) return false;
+      st.envars[key] = std::move(hint);
       break;
     }
     case RecordType::kBarrierEpoch: {
-      auto name = r.Str();
-      auto epoch = r.U64();
-      if (!name || !epoch) return false;
-      uint64_t& e = st.barrier_epochs[*name];
-      if (*epoch > e) e = *epoch;
+      std::string name;
+      uint64_t epoch = 0;
+      if (!codec::GetAll(r, name, epoch)) return false;
+      uint64_t& e = st.barrier_epochs[name];
+      if (epoch > e) e = epoch;
       break;
     }
     default:
       return false;
   }
-  st.last_seq = *seq;
+  st.last_seq = seq;
   st.found = true;
   return true;
 }
 
 std::string EncodeCheckpoint(const RecoveredState& st) {
   util::ByteWriter w;
-  w.U32(kCkptMagic);
-  w.U64(st.last_seq);
-  w.U32(st.generation);
-  w.Str(st.ccs_host);
-  w.U32(static_cast<uint32_t>(st.events.size()));
-  for (const auto& ev : st.events) PutHistEvent(w, ev);
-  w.U32(static_cast<uint32_t>(st.triggers.size()));
-  for (const auto& [id, spec] : st.triggers) {
-    w.U64(id);
-    PutTriggerSpec(w, spec);
-  }
-  w.U32(static_cast<uint32_t>(st.rusage.size()));
-  for (const auto& rec : st.rusage) PutRusageRecord(w, rec);
-  w.U32(static_cast<uint32_t>(st.procs.size()));
-  for (const auto& [pid, hint] : st.procs) {
-    w.I32(pid);
-    PutGPid(w, hint.logical_parent);
-    w.Str(hint.command);
-  }
-  w.U32(static_cast<uint32_t>(st.remote_children.size()));
-  for (const auto& [pid, child] : st.remote_children) {
-    w.I32(pid);
-    PutGPid(w, child);
-  }
-  w.U32(static_cast<uint32_t>(st.groups.size()));
-  for (const auto& [name, members] : st.groups) {
-    w.Str(name);
-    w.U32(static_cast<uint32_t>(members.size()));
-    for (const auto& m : members) {
-      PutGPid(w, m.gpid);
-      w.Bool(m.exited);
-      w.I32(m.exit_status);
-    }
-  }
-  w.U32(static_cast<uint32_t>(st.group_local.size()));
-  for (const auto& [pid, hint] : st.group_local) {
-    w.I32(pid);
-    w.Str(hint.group);
-    w.Str(hint.coordinator);
-  }
-  w.U32(static_cast<uint32_t>(st.envars.size()));
-  for (const auto& [key, e] : st.envars) {
-    w.Str(key);
-    w.Str(e.value);
-    w.U64(e.version);
-    w.Str(e.origin);
-  }
-  w.U32(static_cast<uint32_t>(st.barrier_epochs.size()));
-  for (const auto& [name, epoch] : st.barrier_epochs) {
-    w.Str(name);
-    w.U64(epoch);
-  }
+  codec::PutAll(w, kCkptMagic, st);
   std::vector<uint8_t> body = w.Take();
   return std::string(body.begin(), body.end());
 }
 
 bool DecodeCheckpoint(const std::string& content, RecoveredState& st) {
-  std::vector<uint8_t> bytes(content.begin(), content.end());
-  util::ByteReader r(bytes);
-  auto magic = r.U32();
-  if (!magic || *magic != kCkptMagic) return false;
-  auto seq = r.U64();
-  auto gen = r.U32();
-  auto ccs = r.Str();
-  if (!seq || !gen || !ccs) return false;
+  codec::Reader r(reinterpret_cast<const uint8_t*>(content.data()), content.size());
+  uint32_t magic = 0;
   RecoveredState out;
-  out.last_seq = *seq;
-  out.generation = *gen;
-  out.ccs_host = std::move(*ccs);
-  auto nev = r.U32();
-  if (!nev) return false;
-  for (uint32_t i = 0; i < *nev; ++i) {
-    auto ev = GetHistEvent(r);
-    if (!ev) return false;
-    out.events.push_back(std::move(*ev));
-  }
-  auto ntr = r.U32();
-  if (!ntr) return false;
-  for (uint32_t i = 0; i < *ntr; ++i) {
-    auto id = r.U64();
-    auto spec = GetTriggerSpec(r);
-    if (!id || !spec) return false;
-    out.triggers[*id] = std::move(*spec);
-  }
-  auto nru = r.U32();
-  if (!nru) return false;
-  for (uint32_t i = 0; i < *nru; ++i) {
-    auto rec = GetRusageRecord(r);
-    if (!rec) return false;
-    out.rusage.push_back(std::move(*rec));
-  }
-  auto npr = r.U32();
-  if (!npr) return false;
-  for (uint32_t i = 0; i < *npr; ++i) {
-    auto pid = r.I32();
-    auto parent = GetGPid(r);
-    auto command = r.Str();
-    if (!pid || !parent || !command) return false;
-    out.procs[*pid] = ProcHint{std::move(*parent), std::move(*command)};
-  }
-  auto nrc = r.U32();
-  if (!nrc) return false;
-  for (uint32_t i = 0; i < *nrc; ++i) {
-    auto pid = r.I32();
-    auto child = GetGPid(r);
-    if (!pid || !child) return false;
-    out.remote_children.emplace_back(*pid, std::move(*child));
-  }
-  auto ngr = r.U32();
-  if (!ngr) return false;
-  for (uint32_t i = 0; i < *ngr; ++i) {
-    auto name = r.Str();
-    auto nm = r.U32();
-    if (!name || !nm) return false;
-    auto& members = out.groups[*name];
-    for (uint32_t j = 0; j < *nm; ++j) {
-      auto gpid = GetGPid(r);
-      auto exited = r.Bool();
-      auto status = r.I32();
-      if (!gpid || !exited || !status) return false;
-      members.push_back(GroupMemberHint{std::move(*gpid), *exited, *status});
-    }
-  }
-  auto ngl = r.U32();
-  if (!ngl) return false;
-  for (uint32_t i = 0; i < *ngl; ++i) {
-    auto pid = r.I32();
-    auto group = r.Str();
-    auto coord = r.Str();
-    if (!pid || !group || !coord) return false;
-    out.group_local[*pid] = LocalMemberHint{std::move(*group), std::move(*coord)};
-  }
-  auto nenv = r.U32();
-  if (!nenv) return false;
-  for (uint32_t i = 0; i < *nenv; ++i) {
-    auto key = r.Str();
-    auto value = r.Str();
-    auto version = r.U64();
-    auto origin = r.Str();
-    if (!key || !value || !version || !origin) return false;
-    out.envars[*key] = EnvarHint{std::move(*value), *version, std::move(*origin)};
-  }
-  auto nbar = r.U32();
-  if (!nbar) return false;
-  for (uint32_t i = 0; i < *nbar; ++i) {
-    auto name = r.Str();
-    auto epoch = r.U64();
-    if (!name || !epoch) return false;
-    out.barrier_epochs[*name] = *epoch;
-  }
+  if (!codec::Get(r, magic) || magic != kCkptMagic || !codec::Get(r, out)) return false;
   out.found = true;
   st = std::move(out);
   return true;
@@ -528,22 +276,18 @@ void LpmStore::Open(const RecoveredState& recovered, uint32_t generation) {
   // later record) from the next replay, which stops at the first bad
   // frame.
   Checkpoint();
-  util::ByteWriter w;
-  w.U32(generation);
-  AppendRecord(RecordType::kBoot, w.Take());
+  AppendRecord(RecordType::kBoot, generation);
   // The boot record is a natural sync point: after it is durable, any
   // later replay knows which generation the genealogy hints belong to.
   journal_.Sync();
 }
 
-void LpmStore::AppendRecord(RecordType type, const std::vector<uint8_t>& fields) {
+template <class... T>
+void LpmStore::AppendRecord(RecordType type, const T&... fields) {
   if (!open_) return;  // nothing may be journaled before Open() resumes seq
   util::ByteWriter w;
-  w.U64(++seq_);
-  w.U8(static_cast<uint8_t>(type));
-  std::vector<uint8_t> payload = w.Take();
-  payload.insert(payload.end(), fields.begin(), fields.end());
-  journal_.Append(payload);
+  codec::PutAll(w, ++seq_, type, fields...);
+  journal_.Append(w.bytes());
   Metrics().records->Inc();
   mirror_.last_seq = seq_;
   mirror_.found = true;
@@ -552,126 +296,85 @@ void LpmStore::AppendRecord(RecordType type, const std::vector<uint8_t>& fields)
 }
 
 void LpmStore::RecordEvent(const core::HistEvent& ev) {
-  util::ByteWriter w;
-  PutHistEvent(w, ev);
   mirror_.events.push_back(ev);
   // Mirror the EventLog's ring bound so checkpoints stay proportional
   // to the history a query could actually return.
   while (mirror_.events.size() > config_.event_capacity)
     mirror_.events.erase(mirror_.events.begin());
-  AppendRecord(RecordType::kEvent, w.Take());
+  AppendRecord(RecordType::kEvent, ev);
 }
 
 void LpmStore::RecordTriggerInstall(uint64_t id, const core::TriggerSpec& spec) {
-  util::ByteWriter w;
-  w.U64(id);
-  PutTriggerSpec(w, spec);
   mirror_.triggers[id] = spec;
-  AppendRecord(RecordType::kTriggerInstall, w.Take());
+  AppendRecord(RecordType::kTriggerInstall, id, spec);
   // A trigger acknowledged to the user must survive a crash: explicit
   // sync point (the paper's "history dependent events" are a contract).
   journal_.Sync();
 }
 
 void LpmStore::RecordTriggerRemove(uint64_t id) {
-  util::ByteWriter w;
-  w.U64(id);
   mirror_.triggers.erase(id);
-  AppendRecord(RecordType::kTriggerRemove, w.Take());
+  AppendRecord(RecordType::kTriggerRemove, id);
 }
 
 void LpmStore::RecordRusage(const core::RusageRecord& rec) {
-  util::ByteWriter w;
-  PutRusageRecord(w, rec);
   mirror_.rusage.push_back(rec);
-  AppendRecord(RecordType::kRusage, w.Take());
+  AppendRecord(RecordType::kRusage, rec);
 }
 
 void LpmStore::RecordProcNew(host::Pid pid, const core::GPid& logical_parent,
                              const std::string& command) {
-  util::ByteWriter w;
-  w.I32(pid);
-  PutGPid(w, logical_parent);
-  w.Str(command);
   mirror_.procs[pid] = ProcHint{logical_parent, command};
-  AppendRecord(RecordType::kProcNew, w.Take());
+  AppendRecord(RecordType::kProcNew, pid, logical_parent, command);
 }
 
 void LpmStore::RecordProcExit(host::Pid pid) {
-  util::ByteWriter w;
-  w.I32(pid);
   mirror_.procs.erase(pid);
-  AppendRecord(RecordType::kProcExit, w.Take());
+  AppendRecord(RecordType::kProcExit, pid);
 }
 
 void LpmStore::RecordRemoteChild(host::Pid parent, const core::GPid& child) {
-  util::ByteWriter w;
-  w.I32(parent);
-  PutGPid(w, child);
   mirror_.remote_children.emplace_back(parent, child);
-  AppendRecord(RecordType::kRemoteChild, w.Take());
+  AppendRecord(RecordType::kRemoteChild, parent, child);
 }
 
 void LpmStore::RecordCcs(const std::string& ccs_host) {
-  util::ByteWriter w;
-  w.Str(ccs_host);
   mirror_.ccs_host = ccs_host;
-  AppendRecord(RecordType::kCcs, w.Take());
+  AppendRecord(RecordType::kCcs, ccs_host);
 }
 
 void LpmStore::RecordGroupMember(const std::string& group, const core::GPid& gpid) {
-  util::ByteWriter w;
-  w.Str(group);
-  PutGPid(w, gpid);
   mirror_.groups[group].push_back(GroupMemberHint{gpid, false, 0});
-  AppendRecord(RecordType::kGroupMember, w.Take());
+  AppendRecord(RecordType::kGroupMember, group, gpid);
 }
 
 void LpmStore::RecordGroupExit(const std::string& group, const core::GPid& gpid,
                                int32_t exit_status) {
-  util::ByteWriter w;
-  w.Str(group);
-  PutGPid(w, gpid);
-  w.I32(exit_status);
   ApplyGroupExit(mirror_, group, gpid, exit_status);
-  AppendRecord(RecordType::kGroupExit, w.Take());
+  AppendRecord(RecordType::kGroupExit, group, gpid, exit_status);
 }
 
 void LpmStore::RecordGroupLocalMember(host::Pid pid, const std::string& group,
                                       const std::string& coordinator) {
-  util::ByteWriter w;
-  w.I32(pid);
-  w.Str(group);
-  w.Str(coordinator);
   mirror_.group_local[pid] = LocalMemberHint{group, coordinator};
-  AppendRecord(RecordType::kGroupLocalMember, w.Take());
+  AppendRecord(RecordType::kGroupLocalMember, pid, group, coordinator);
 }
 
 void LpmStore::RecordGroupLocalRemove(host::Pid pid) {
-  util::ByteWriter w;
-  w.I32(pid);
   mirror_.group_local.erase(pid);
-  AppendRecord(RecordType::kGroupLocalRemove, w.Take());
+  AppendRecord(RecordType::kGroupLocalRemove, pid);
 }
 
 void LpmStore::RecordEnvar(const std::string& key, const std::string& value,
                            uint64_t version, const std::string& origin) {
-  util::ByteWriter w;
-  w.Str(key);
-  w.Str(value);
-  w.U64(version);
-  w.Str(origin);
   mirror_.envars[key] = EnvarHint{value, version, origin};
-  AppendRecord(RecordType::kEnvar, w.Take());
+  AppendRecord(RecordType::kEnvar, key, value, version, origin);
 }
 
 void LpmStore::RecordBarrierEpoch(const std::string& name, uint64_t epoch) {
-  util::ByteWriter w;
-  w.Str(name);
-  w.U64(epoch);
   uint64_t& e = mirror_.barrier_epochs[name];
   if (epoch > e) e = epoch;
-  AppendRecord(RecordType::kBarrierEpoch, w.Take());
+  AppendRecord(RecordType::kBarrierEpoch, name, epoch);
   // A barrier verdict acknowledged to anyone must survive a crash —
   // epoch reuse after restart would split the release decision.
   journal_.Sync();

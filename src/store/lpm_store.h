@@ -17,11 +17,13 @@
 //     checkpoint write and journal truncation is safe: replay skips
 //     journal records with seq <= the checkpoint's last_seq.
 //
-// Record payload layout: [u64 seq][u8 type][type-specific fields],
-// using the same field encodings as the wire protocol (util::ByteWriter
-// rules).  The store deliberately does NOT link against core's wire
-// code — it re-encodes the shared types locally — so the dependency
-// order stays store -> host and core -> store without a cycle.
+// Record payload layout: [u64 seq][u8 type][type-specific fields].  The
+// fields are encoded by the same field lists and the same generic
+// writer and reader as the wire protocol (core/codec.h), so a GPid,
+// HistEvent, TriggerSpec or RusageRecord has one layout on the network
+// and on disk.  codec.h is header-only: the store does NOT link against
+// core, so the dependency order stays store -> host and core -> store
+// without a cycle.
 //
 // Warm restart: Recover() decodes checkpoint + journal read-only and
 // returns a RecoveredState; the LPM seeds its EventLog, TriggerTable
@@ -172,7 +174,9 @@ class LpmStore {
   const StoreConfig& config() const { return config_; }
 
  private:
-  void AppendRecord(RecordType type, const std::vector<uint8_t>& fields);
+  // Journals [seq][type][fields...]; defined (and only used) in lpm_store.cc.
+  template <class... T>
+  void AppendRecord(RecordType type, const T&... fields);
 
   host::Disk disk_;
   StoreConfig config_;

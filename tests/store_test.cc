@@ -364,6 +364,188 @@ TEST(LpmStore, OpenPurgesTornTailFromDisk) {
   EXPECT_EQ(st.events.back(), Ev(99, 990));
 }
 
+// --- the on-disk format, byte for byte ---------------------------------------
+//
+// One journal record of every RecordType and the checkpoint of the state
+// they build, as hex.  The bytes were captured from the hand-written
+// store encoder; any change to the journal or checkpoint layout shows up
+// here as a diff instead of riding along silently.
+
+constexpr const char* kGoldenJournal =
+    "0d000000d2d13e5701000000000000000101000000270000004e8b595b020000"
+    "000000000002d2040000000000000304000000020000000af7ffffff04000000"
+    "6e6f7465400000000dac76f90300000000000000030700000000000000020400"
+    "0000020904000000626574614d0000000500000067616d6d6107000000726573"
+    "7061776e040000006661726d11000000cb9cee34040000000000000004080000"
+    "00000000006600000045d6f06405000000000000000505000000616c70686104"
+    "00000006000000776f726b65720300000001090500000000000000f401000000"
+    "00000009030000000000000b0000000000000016000000000000000300000000"
+    "000000800200000000000002000000000000002000000048483e010600000000"
+    "0000000605000000040000006265746109000000030000007372760d00000016"
+    "c34ce5070000000000000007060000001a000000828906700800000000000000"
+    "08050000000500000067616d6d6102000000120000005277583f090000000000"
+    "00000905000000616c7068611d0000005be80a9e0a000000000000000a040000"
+    "006661726d040000006265746129000000210000002ab84f790b000000000000"
+    "000b040000006661726d040000006265746129000000070000001e000000b8f9"
+    "f3ab0c000000000000000c0c000000040000006661726d05000000616c706861"
+    "0d000000903aa2420d000000000000000d0d000000300000007aff60850e0000"
+    "00000000000e090000006661726d2e6d6f646505000000647261696e04000000"
+    "0000000005000000616c7068611a000000557222a00f000000000000000f0500"
+    "000070686173650300000000000000";
+constexpr const char* kGoldenCheckpoint =
+    "50434b320f000000000000000100000005000000616c70686101000000d20400"
+    "00000000000304000000020000000af7ffffff040000006e6f74650100000007"
+    "000000000000000204000000020904000000626574614d000000050000006761"
+    "6d6d61070000007265737061776e040000006661726d0100000005000000616c"
+    "7068610400000006000000776f726b65720300000001090500000000000000f4"
+    "0100000000000009030000000000000b00000000000000160000000000000003"
+    "0000000000000080020000000000000200000000000000010000000500000004"
+    "0000006265746109000000030000007372760100000005000000050000006761"
+    "6d6d610200000001000000040000006661726d01000000040000006265746129"
+    "0000000107000000010000000c000000040000006661726d05000000616c7068"
+    "6101000000090000006661726d2e6d6f646505000000647261696e0400000000"
+    "00000005000000616c7068610100000005000000706861736503000000000000"
+    "00";
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+std::string Unhex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  return out;
+}
+
+core::HistEvent GoldenEvent() {
+  core::HistEvent ev;
+  ev.at = 1234;
+  ev.kind = host::KEvent::kSignal;
+  ev.pid = 4;
+  ev.other = 2;
+  ev.sig = host::Signal::kSigUsr1;
+  ev.status = -9;
+  ev.detail = "note";
+  return ev;
+}
+
+core::TriggerSpec GoldenTrigger() {
+  core::TriggerSpec spec;
+  spec.event_kind = host::KEvent::kExit;
+  spec.subject_pid = 4;
+  spec.action = core::TriggerAction::kSpawn;
+  spec.action_signal = host::Signal::kSigKill;
+  spec.action_target = {"beta", 77};
+  spec.migrate_dest = "gamma";
+  spec.spawn_command = "respawn";
+  spec.group = "farm";
+  return spec;
+}
+
+core::RusageRecord GoldenRusage() {
+  core::RusageRecord rec;
+  rec.gpid = {"alpha", 4};
+  rec.command = "worker";
+  rec.exit_status = 3;
+  rec.killed_by_signal = true;
+  rec.death_signal = host::Signal::kSigKill;
+  rec.start_time = 5;
+  rec.end_time = 500;
+  rec.rusage = host::Rusage{777, 11, 22, 3, 640, 2};
+  return rec;
+}
+
+// Boot (from Open) plus one record of each of the fourteen other types.
+void WriteOneOfEachRecord(store::LpmStore& s) {
+  s.RecordEvent(GoldenEvent());
+  s.RecordTriggerInstall(7, GoldenTrigger());
+  s.RecordTriggerRemove(8);
+  s.RecordRusage(GoldenRusage());
+  s.RecordProcNew(5, {"beta", 9}, "srv");
+  s.RecordProcExit(6);
+  s.RecordRemoteChild(5, {"gamma", 2});
+  s.RecordCcs("alpha");
+  s.RecordGroupMember("farm", {"beta", 41});
+  s.RecordGroupExit("farm", {"beta", 41}, 7);
+  s.RecordGroupLocalMember(12, "farm", "alpha");
+  s.RecordGroupLocalRemove(13);
+  s.RecordEnvar("farm.mode", "drain", 4, "alpha");
+  s.RecordBarrierEpoch("phase", 3);
+}
+
+// The state WriteOneOfEachRecord leaves behind.  The three removals name
+// ids nothing installed, so every record's fields stay visible.
+void ExpectGoldenState(const store::RecoveredState& st) {
+  EXPECT_TRUE(st.found);
+  EXPECT_EQ(st.last_seq, 15u);
+  EXPECT_EQ(st.generation, 1u);
+  EXPECT_EQ(st.events, std::vector<core::HistEvent>{GoldenEvent()});
+  ASSERT_EQ(st.triggers.size(), 1u);
+  EXPECT_EQ(st.triggers.at(7), GoldenTrigger());
+  EXPECT_EQ(st.rusage, std::vector<core::RusageRecord>{GoldenRusage()});
+  ASSERT_EQ(st.procs.size(), 1u);
+  EXPECT_EQ(st.procs.at(5).logical_parent, (core::GPid{"beta", 9}));
+  EXPECT_EQ(st.procs.at(5).command, "srv");
+  ASSERT_EQ(st.remote_children.size(), 1u);
+  EXPECT_EQ(st.remote_children[0].first, 5);
+  EXPECT_EQ(st.remote_children[0].second, (core::GPid{"gamma", 2}));
+  EXPECT_EQ(st.ccs_host, "alpha");
+  ASSERT_EQ(st.groups.size(), 1u);
+  ASSERT_EQ(st.groups.at("farm").size(), 1u);
+  EXPECT_EQ(st.groups.at("farm")[0].gpid, (core::GPid{"beta", 41}));
+  EXPECT_TRUE(st.groups.at("farm")[0].exited);
+  EXPECT_EQ(st.groups.at("farm")[0].exit_status, 7);
+  ASSERT_EQ(st.group_local.size(), 1u);
+  EXPECT_EQ(st.group_local.at(12).group, "farm");
+  EXPECT_EQ(st.group_local.at(12).coordinator, "alpha");
+  ASSERT_EQ(st.envars.size(), 1u);
+  EXPECT_EQ(st.envars.at("farm.mode").value, "drain");
+  EXPECT_EQ(st.envars.at("farm.mode").version, 4u);
+  EXPECT_EQ(st.envars.at("farm.mode").origin, "alpha");
+  ASSERT_EQ(st.barrier_epochs.size(), 1u);
+  EXPECT_EQ(st.barrier_epochs.at("phase"), 3u);
+}
+
+TEST(LpmStoreFormat, EncoderReproducesGoldenBytes) {
+  host::Filesystem fs;
+  host::Disk disk(fs, 100);
+  store::StoreConfig cfg;
+  cfg.group_commit = 1;
+  cfg.checkpoint_every = 0;  // keep every record in the journal
+  store::LpmStore s(disk, cfg);
+  s.Open(store::RecoveredState{}, /*generation=*/1);
+  WriteOneOfEachRecord(s);
+  EXPECT_EQ(Hex(*disk.Read(store::LpmStore::kJournalFile)), kGoldenJournal);
+  s.Checkpoint();
+  EXPECT_EQ(Hex(*disk.Read(store::LpmStore::kCheckpointFile)), kGoldenCheckpoint);
+}
+
+TEST(LpmStoreFormat, GoldenJournalReplays) {
+  host::Filesystem fs;
+  host::Disk disk(fs, 100);
+  disk.Write(store::LpmStore::kJournalFile, Unhex(kGoldenJournal));
+  store::RecoveredState st = store::LpmStore::Recover(disk);
+  EXPECT_EQ(st.replayed_records, 15u);
+  EXPECT_EQ(st.torn_bytes, 0u);
+  ExpectGoldenState(st);
+}
+
+TEST(LpmStoreFormat, GoldenCheckpointRecovers) {
+  host::Filesystem fs;
+  host::Disk disk(fs, 100);
+  disk.Write(store::LpmStore::kCheckpointFile, Unhex(kGoldenCheckpoint));
+  store::RecoveredState st = store::LpmStore::Recover(disk);
+  EXPECT_EQ(st.replayed_records, 0u);
+  ExpectGoldenState(st);
+}
+
 // --- warm restart end to end -------------------------------------------------
 
 core::ClusterConfig DurableConfig() {

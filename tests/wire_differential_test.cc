@@ -1,10 +1,11 @@
 // wire_differential_test.cc — locks the zero-copy codec to the wire
-// format, byte for byte.  `ref` below retains the ByteWriter-based
-// encoder the WireBuffer codec replaced, verbatim minus metrics; a
-// seeded generator drives ~10k randomized frames covering every opcode,
-// the STAT escape pair, and both header combinations (checksum only /
-// checksum + trace) through both encoders and asserts the outputs are
-// identical.  Round trips then prove parse(encode(x)) == x through the
+// format, byte for byte.  `ref` below retains a hand-written
+// ByteWriter-based encoder, one branch per message type, as the oracle;
+// a seeded generator drives ~9.4k randomized frames covering all 59
+// message types (the plain tags, the 0xF6 STAT family, the 0xF3 BUSY
+// escape and the 0xF8 group family) under all four header combinations
+// (trace on/off x deadline on/off) through both encoders and asserts
+// the outputs are identical.  Round trips then prove parse(encode(x)) == x through the
 // owning and zero-copy paths alike.  Any intentional format change must
 // update the reference encoder here — which is the point: the diff makes
 // the wire change explicit instead of letting it ride along silently.
@@ -218,6 +219,8 @@ void PutStatDeltaRecord(util::ByteWriter& w, const StatDeltaRecord& rec) {
   w.U8(rec.health);
 }
 
+constexpr size_t kGroupIndexBase = 32;  // variant index of GroupSpawnReq
+
 void EncodeMsg(util::ByteWriter& w, const Msg& msg) {
   if (const auto* sub = std::get_if<StatSubscribe>(&msg)) {
     w.U8(kStatMsgTag);
@@ -268,7 +271,14 @@ void EncodeMsg(util::ByteWriter& w, const Msg& msg) {
     w.U64(busy->retry_after_us);
     return;
   }
-  w.U8(static_cast<uint8_t>(msg.index()));
+  // Group messages ride under the 0xF8 escape opcode plus a sub-byte
+  // equal to the variant index minus that of GroupSpawnReq.
+  if (msg.index() >= kGroupIndexBase) {
+    w.U8(kGroupMsgTag);
+    w.U8(static_cast<uint8_t>(msg.index() - kGroupIndexBase));
+  } else {
+    w.U8(static_cast<uint8_t>(msg.index()));
+  }
   std::visit(
       [&w](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -406,6 +416,141 @@ void EncodeMsg(util::ByteWriter& w, const Msg& msg) {
           w.U64(m.req_id);
           w.Str(m.host);
           w.Bool(m.is_ccs);
+        } else if constexpr (std::is_same_v<T, GroupSpawnReq>) {
+          w.U64(m.req_id);
+          w.Str(m.group);
+          PutStrVec(w, m.hosts);
+          PutStrVec(w, m.commands);
+        } else if constexpr (std::is_same_v<T, GroupSpawnResp>) {
+          w.U64(m.req_id);
+          w.Bool(m.ok);
+          w.Str(m.error);
+          w.U32(static_cast<uint32_t>(m.members.size()));
+          for (const auto& g : m.members) PutGPid(w, g);
+          PutStrVec(w, m.host_errors);
+        } else if constexpr (std::is_same_v<T, GroupPartReq>) {
+          w.U64(m.req_id);
+          w.Str(m.group);
+          w.Str(m.coordinator);
+          w.Str(m.command);
+        } else if constexpr (std::is_same_v<T, GroupPartResp>) {
+          w.U64(m.req_id);
+          w.Bool(m.ok);
+          w.Str(m.error);
+          PutGPid(w, m.gpid);
+        } else if constexpr (std::is_same_v<T, GroupUndoReq>) {
+          w.U64(m.req_id);
+          w.Str(m.group);
+          PutGPid(w, m.target);
+        } else if constexpr (std::is_same_v<T, GroupAck>) {
+          w.U64(m.req_id);
+          w.Bool(m.ok);
+          w.Str(m.error);
+          w.Str(m.ccs_hint);
+        } else if constexpr (std::is_same_v<T, GroupExitNotify>) {
+          w.U64(m.req_id);
+          w.Str(m.group);
+          PutGPid(w, m.gpid);
+          w.I32(m.exit_status);
+        } else if constexpr (std::is_same_v<T, GroupAddNotify>) {
+          w.U64(m.req_id);
+          w.Str(m.group);
+          PutGPid(w, m.gpid);
+        } else if constexpr (std::is_same_v<T, GroupSignalReq>) {
+          w.U64(m.req_id);
+          w.Str(m.group);
+          w.U8(static_cast<uint8_t>(m.sig));
+        } else if constexpr (std::is_same_v<T, GroupSignalResp>) {
+          w.U64(m.req_id);
+          w.Bool(m.ok);
+          w.Str(m.error);
+          w.U32(m.delivered);
+          w.U32(m.failed);
+        } else if constexpr (std::is_same_v<T, GroupJoinReq>) {
+          w.U64(m.req_id);
+          w.Str(m.group);
+        } else if constexpr (std::is_same_v<T, GroupJoinResp>) {
+          w.U64(m.req_id);
+          w.Bool(m.ok);
+          w.Str(m.error);
+          w.Str(m.group);
+          w.U32(static_cast<uint32_t>(m.exits.size()));
+          for (const auto& e : m.exits) {
+            PutGPid(w, e.gpid);
+            w.I32(e.exit_status);
+          }
+        } else if constexpr (std::is_same_v<T, BarrierEnterReq>) {
+          w.U64(m.req_id);
+          w.Str(m.name);
+          w.U64(m.epoch);
+          w.U32(m.expected);
+        } else if constexpr (std::is_same_v<T, BarrierEnterResp>) {
+          w.U64(m.req_id);
+          w.Bool(m.ok);
+          w.Str(m.error);
+          w.Bool(m.released);
+          w.U64(m.epoch);
+          PutStrVec(w, m.stragglers);
+        } else if constexpr (std::is_same_v<T, BarrierJoinReq>) {
+          w.U64(m.req_id);
+          w.Str(m.name);
+          w.U64(m.epoch);
+          w.U32(m.expected);
+          w.Str(m.host);
+          w.U32(m.count);
+        } else if constexpr (std::is_same_v<T, BarrierReleaseReq>) {
+          w.U64(m.req_id);
+          w.Str(m.name);
+          w.U64(m.epoch);
+          w.Bool(m.released);
+          PutStrVec(w, m.stragglers);
+        } else if constexpr (std::is_same_v<T, EnvarSetReq>) {
+          w.U64(m.req_id);
+          w.Str(m.key);
+          w.Str(m.value);
+        } else if constexpr (std::is_same_v<T, EnvarSetResp>) {
+          w.U64(m.req_id);
+          w.Bool(m.ok);
+          w.Str(m.error);
+          w.U64(m.version);
+        } else if constexpr (std::is_same_v<T, EnvarGetReq>) {
+          w.U64(m.req_id);
+          w.Str(m.key);
+        } else if constexpr (std::is_same_v<T, EnvarGetResp>) {
+          w.U64(m.req_id);
+          w.Bool(m.ok);
+          w.Str(m.error);
+          w.Str(m.key);
+          w.Str(m.value);
+          w.U64(m.version);
+        } else if constexpr (std::is_same_v<T, EnvarUpdate>) {
+          w.U64(m.req_id);
+          w.Str(m.origin_host);
+          w.U64(m.bcast_seq);
+          w.U64(m.signed_ts);
+          PutStrVec(w, m.route);
+          w.Str(m.key);
+          w.Str(m.value);
+          w.U64(m.version);
+          w.Str(m.version_origin);
+        } else if constexpr (std::is_same_v<T, EnvarSync>) {
+          w.U64(m.req_id);
+          w.U32(static_cast<uint32_t>(m.entries.size()));
+          for (const auto& e : m.entries) {
+            w.Str(e.key);
+            w.Str(e.value);
+            w.U64(e.version);
+            w.Str(e.origin);
+          }
+        } else if constexpr (std::is_same_v<T, EnvarWatchReq>) {
+          w.U64(m.req_id);
+          w.Str(m.key);
+          PutTriggerSpec(w, m.spec);
+        } else if constexpr (std::is_same_v<T, EnvarWatchResp>) {
+          w.U64(m.req_id);
+          w.Bool(m.ok);
+          w.Str(m.error);
+          w.U64(m.watch_id);
         }
       },
       msg);
@@ -639,9 +784,9 @@ class Gen {
     return ev;
   }
 
-  // One random message of the variant alternative `tag` (0..34, where
-  // 29/30 are the STAT escape pair, 31 the BUSY escape, and 32..34 the
-  // STAT subscription sub-ops).
+  // One random message of the Msg variant alternative `tag` (0..58:
+  // 0..28 plain tags, 29/30 the STAT escape pair, 31 the BUSY escape,
+  // 32..55 the group family, 56..58 the STAT subscription sub-ops).
   Msg MsgForTag(size_t tag) {
     switch (tag) {
       case 0: {
@@ -884,7 +1029,213 @@ class Gen {
         for (auto& rec : m.records) rec = Stat();
         return m;
       }
+      case 31: {
+        BusyResp m;
+        m.req_id = U64();
+        m.error = Str(20);
+        m.retry_after_us = U64();
+        return m;
+      }
       case 32: {
+        GroupSpawnReq m;
+        m.req_id = U64();
+        m.group = Str(6);
+        m.hosts = StrVec();
+        m.commands = StrVec();
+        return m;
+      }
+      case 33: {
+        GroupSpawnResp m;
+        m.req_id = U64();
+        m.ok = B();
+        m.error = Str();
+        m.members.resize(Size(3));
+        for (auto& g : m.members) g = Gpid();
+        m.host_errors = StrVec();
+        return m;
+      }
+      case 34: {
+        GroupPartReq m;
+        m.req_id = U64();
+        m.group = Str(6);
+        m.coordinator = Str(6);
+        m.command = Str();
+        return m;
+      }
+      case 35: {
+        GroupPartResp m;
+        m.req_id = U64();
+        m.ok = B();
+        m.error = Str();
+        m.gpid = Gpid();
+        return m;
+      }
+      case 36: {
+        GroupUndoReq m;
+        m.req_id = U64();
+        m.group = Str(6);
+        m.target = Gpid();
+        return m;
+      }
+      case 37: {
+        GroupAck m;
+        m.req_id = U64();
+        m.ok = B();
+        m.error = Str();
+        m.ccs_hint = Str(6);
+        return m;
+      }
+      case 38: {
+        GroupExitNotify m;
+        m.req_id = U64();
+        m.group = Str(6);
+        m.gpid = Gpid();
+        m.exit_status = I32();
+        return m;
+      }
+      case 39: {
+        GroupAddNotify m;
+        m.req_id = U64();
+        m.group = Str(6);
+        m.gpid = Gpid();
+        return m;
+      }
+      case 40: {
+        GroupSignalReq m;
+        m.req_id = U64();
+        m.group = Str(6);
+        m.sig = Sig();
+        return m;
+      }
+      case 41: {
+        GroupSignalResp m;
+        m.req_id = U64();
+        m.ok = B();
+        m.error = Str();
+        m.delivered = U32();
+        m.failed = U32();
+        return m;
+      }
+      case 42: {
+        GroupJoinReq m;
+        m.req_id = U64();
+        m.group = Str(6);
+        return m;
+      }
+      case 43: {
+        GroupJoinResp m;
+        m.req_id = U64();
+        m.ok = B();
+        m.error = Str();
+        m.group = Str(6);
+        m.exits.resize(Size(3));
+        for (auto& e : m.exits) e = GroupExit{Gpid(), I32()};
+        return m;
+      }
+      case 44: {
+        BarrierEnterReq m;
+        m.req_id = U64();
+        m.name = Str(6);
+        m.epoch = U64();
+        m.expected = U32();
+        return m;
+      }
+      case 45: {
+        BarrierEnterResp m;
+        m.req_id = U64();
+        m.ok = B();
+        m.error = Str();
+        m.released = B();
+        m.epoch = U64();
+        m.stragglers = StrVec();
+        return m;
+      }
+      case 46: {
+        BarrierJoinReq m;
+        m.req_id = U64();
+        m.name = Str(6);
+        m.epoch = U64();
+        m.expected = U32();
+        m.host = Str(6);
+        m.count = U32();
+        return m;
+      }
+      case 47: {
+        BarrierReleaseReq m;
+        m.req_id = U64();
+        m.name = Str(6);
+        m.epoch = U64();
+        m.released = B();
+        m.stragglers = StrVec();
+        return m;
+      }
+      case 48: {
+        EnvarSetReq m;
+        m.req_id = U64();
+        m.key = Str(8);
+        m.value = Str();
+        return m;
+      }
+      case 49: {
+        EnvarSetResp m;
+        m.req_id = U64();
+        m.ok = B();
+        m.error = Str();
+        m.version = U64();
+        return m;
+      }
+      case 50: {
+        EnvarGetReq m;
+        m.req_id = U64();
+        m.key = Str(8);
+        return m;
+      }
+      case 51: {
+        EnvarGetResp m;
+        m.req_id = U64();
+        m.ok = B();
+        m.error = Str();
+        m.key = Str(8);
+        m.value = Str();
+        m.version = U64();
+        return m;
+      }
+      case 52: {
+        EnvarUpdate m;
+        m.req_id = U64();
+        m.origin_host = Str(6);
+        m.bcast_seq = U64();
+        m.signed_ts = U64();
+        m.route = StrVec();
+        m.key = Str(8);
+        m.value = Str();
+        m.version = U64();
+        m.version_origin = Str(6);
+        return m;
+      }
+      case 53: {
+        EnvarSync m;
+        m.req_id = U64();
+        m.entries.resize(Size(3));
+        for (auto& e : m.entries) e = EnvarEntry{Str(8), Str(), U64(), Str(6)};
+        return m;
+      }
+      case 54: {
+        EnvarWatchReq m;
+        m.req_id = U64();
+        m.key = Str(8);
+        m.spec = Trig();
+        return m;
+      }
+      case 55: {
+        EnvarWatchResp m;
+        m.req_id = U64();
+        m.ok = B();
+        m.error = Str();
+        m.watch_id = U64();
+        return m;
+      }
+      case 56: {
         StatSubscribe m;
         m.req_id = U64();
         m.origin_host = Str(6);
@@ -895,7 +1246,7 @@ class Gen {
         m.interval_us = U64();
         return m;
       }
-      case 33: {
+      case 57: {
         StatDelta m;
         m.req_id = U64();
         m.origin_host = Str(6);
@@ -904,18 +1255,11 @@ class Gen {
         for (auto& rec : m.records) rec = DeltaRec();
         return m;
       }
-      case 34: {
+      default: {
         StatUnsubscribe m;
         m.req_id = U64();
         m.origin_host = Str(6);
         m.watch_id = U64();
-        return m;
-      }
-      default: {
-        BusyResp m;
-        m.req_id = U64();
-        m.error = Str(20);
-        m.retry_after_us = U64();
         return m;
       }
     }
@@ -944,8 +1288,9 @@ class Gen {
   std::mt19937_64 rng_;
 };
 
-constexpr size_t kTagCount = 35;     // 29 plain + STAT family (5) + BUSY escape
-constexpr size_t kItersPerTag = 160;  // x35 tags x header combos ≈ 11k frames
+constexpr size_t kTagCount = 59;     // every Msg alternative
+static_assert(kTagCount == std::variant_size_v<Msg>);
+constexpr size_t kItersPerTag = 160;  // x59 tags, header combos cycling ≈ 9.4k frames
 
 // Every opcode, randomized payloads, all four header combinations
 // (trace on/off x deadline on/off): the new encoder's bytes must equal
@@ -958,6 +1303,7 @@ TEST(WireDifferential, EncoderMatchesReferenceAllOpcodes) {
   for (size_t tag = 0; tag < kTagCount; ++tag) {
     for (size_t iter = 0; iter < kItersPerTag; ++iter) {
       const Msg msg = gen.MsgForTag(tag);
+      ASSERT_EQ(msg.index(), tag);
       const obs::TraceContext trace = gen.Trace(/*valid=*/iter % 2 == 0);
       const DeadlineStamp stamp = gen.Stamp(/*valid=*/iter % 4 < 2);
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/wire.h"
+#include "host/filesystem.h"
+#include "store/lpm_store.h"
 
 namespace ppm::core {
 namespace {
@@ -310,6 +312,13 @@ TEST_P(WireRoundTrip, SerializeParseIdentity) {
   EXPECT_EQ(parsed->index(), original.index());
   // Re-serialization is byte-identical (canonical encoding).
   EXPECT_EQ(Serialize(*parsed), bytes) << MsgTypeName(original);
+  // The classifier names the frame from its opcode alone, exactly as
+  // MsgTypeName names the value — bare, and behind the trace and
+  // deadline headers.
+  EXPECT_STREQ(ClassifyWireFrame(bytes), MsgTypeName(original));
+  const obs::TraceContext trace{0x1234, 0x5678, 0x9abc};
+  const DeadlineStamp stamp{4'000'000, 0x77};
+  EXPECT_STREQ(ClassifyWireFrame(Serialize(original, trace, stamp)), MsgTypeName(original));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTypes, WireRoundTrip,
@@ -431,6 +440,41 @@ TEST(Wire, StatUnknownSubByteRejected) {
   body[1] = 0x7e;
   auto reframed = Parse(body);  // unchecksummed frames are still parsed
   EXPECT_FALSE(reframed.has_value());
+}
+
+// TriggerAction has three values (kSignal, kMigrate, kSpawn).  A fourth
+// must be refused wherever a TriggerSpec is decoded: in a TriggerReq or
+// EnvarWatchReq frame, and in a trigger-install journal record on
+// replay.  kSpawn, the largest legal value, is the control.
+TEST(Wire, TriggerActionOutOfRangeRejected) {
+  for (uint8_t action : {uint8_t{2}, uint8_t{3}}) {
+    const bool legal = action <= static_cast<uint8_t>(TriggerAction::kSpawn);
+    TriggerSpec spec;
+    spec.action = static_cast<TriggerAction>(action);
+    spec.spawn_command = "respawn";
+    TriggerReq treq;
+    treq.req_id = 1;
+    treq.target_host = "vaxA";
+    treq.spec = spec;
+    EXPECT_EQ(Parse(Serialize(Msg{treq})).has_value(), legal) << int{action};
+    EnvarWatchReq wreq;
+    wreq.req_id = 2;
+    wreq.key = "farm.mode";
+    wreq.spec = spec;
+    EXPECT_EQ(Parse(Serialize(Msg{wreq})).has_value(), legal) << int{action};
+
+    host::Filesystem fs;
+    host::Disk disk(fs, 100);
+    store::StoreConfig cfg;
+    cfg.group_commit = 1;
+    store::LpmStore s(disk, cfg);
+    s.Open(store::RecoveredState{}, 0);
+    s.RecordTriggerInstall(7, spec);
+    store::RecoveredState st = store::LpmStore::Recover(disk);
+    // The boot record always replays; the install only when legal.
+    EXPECT_EQ(st.replayed_records, legal ? 2u : 1u) << int{action};
+    EXPECT_EQ(st.triggers.count(7), legal ? 1u : 0u) << int{action};
+  }
 }
 
 TEST(Wire, MsgTypeNamesDistinct) {
