@@ -1,5 +1,7 @@
 #include "core/broadcast.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 
 namespace ppm::core {
@@ -44,6 +46,23 @@ bool BroadcastFilter::CheckAndRecord(const std::string& origin, uint64_t seq,
 size_t BroadcastFilter::Size(sim::SimTime now) {
   Purge(now);
   return seen_.size();
+}
+
+bool CoverageTally::Reply(const std::string& replier,
+                          const std::vector<std::string>& forwarded_to) {
+  if (!replied_.insert(replier).second) return false;
+  outstanding_.erase(replier);
+  for (const std::string& h : forwarded_to) {
+    if (!replied_.count(h)) outstanding_.insert(h);
+  }
+  return true;
+}
+
+const std::string* PreviousHop(const std::vector<std::string>& route,
+                               const std::string& self) {
+  auto pos = std::find(route.begin(), route.end(), self);
+  if (pos == route.end() || pos == route.begin()) return nullptr;
+  return &*(pos - 1);
 }
 
 }  // namespace ppm::core

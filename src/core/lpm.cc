@@ -114,6 +114,50 @@ uint64_t MakeIdemToken(const std::string& origin, uint64_t req_id) {
 }
 }  // namespace
 
+// What tells the two request/reply collectives apart: the record each
+// manager contributes (LocalRecords), where the origin keeps its runs, the
+// round-trip histogram, and the names a run is observed under — its
+// trace, its hop spans and its simulator labels.
+struct Lpm::SnapshotCollective {
+  using Req = SnapshotReq;
+  using Resp = SnapshotResp;
+  using Run = CollectiveRun<ProcRecord>;
+  static constexpr const char* kTrace = "snapshot";
+  static constexpr const char* kReqSpan = "snapshot.req";
+  static constexpr const char* kRespSpan = "snapshot.resp";
+  static constexpr const char* kRelaySpan = "snapshot.resp.relay";
+  static constexpr const char* kDoneSpan = "snapshot.done";
+  static constexpr const char* kStartLabel = "lpm-snapshot-start";
+  static constexpr const char* kServeLabel = "lpm-snapshot-serve";
+  static constexpr const char* kTimeoutLabel = "lpm-snapshot-timeout";
+  static std::vector<ProcRecord> LocalRecords(Lpm& lpm) {
+    return lpm.ScanLocalProcesses();
+  }
+  static FlatMap<uint64_t, Run>& Runs(Lpm& lpm) { return lpm.snapshots_; }
+  static obs::Histogram* Latency() { return Metrics().snapshot_ms; }
+};
+
+struct Lpm::StatCollective {
+  using Req = StatReq;
+  using Resp = StatResp;
+  using Run = CollectiveRun<LpmStatRecord>;
+  static constexpr const char* kTrace = "stat";
+  static constexpr const char* kReqSpan = "stat.req";
+  static constexpr const char* kRespSpan = "stat.resp";
+  static constexpr const char* kRelaySpan = "stat.resp.relay";
+  static constexpr const char* kDoneSpan = "stat.done";
+  static constexpr const char* kStartLabel = "lpm-stat-start";
+  static constexpr const char* kServeLabel = "lpm-stat-serve";
+  static constexpr const char* kTimeoutLabel = "lpm-stat-timeout";
+  static std::vector<LpmStatRecord> LocalRecords(Lpm& lpm) {
+    std::vector<LpmStatRecord> out;
+    out.push_back(lpm.BuildStatRecord());
+    return out;
+  }
+  static FlatMap<uint64_t, Run>& Runs(Lpm& lpm) { return lpm.stat_runs_; }
+  static obs::Histogram* Latency() { return Metrics().stat_ms; }
+};
+
 Lpm::Lpm(host::Host& host, host::Uid uid, std::string user, uint64_t token,
          net::Port accept_port, LpmConfig config,
          std::function<daemon::Pmd*()> pmd_getter)
@@ -830,31 +874,13 @@ void Lpm::OnData(net::ConnId conn, const std::vector<uint8_t>& bytes) {
         } else if constexpr (std::is_same_v<T, MigrateReq>) {
           HandleMigrate(conn, m);
         } else if constexpr (std::is_same_v<T, SnapshotReq>) {
-          if (m.origin_host.empty()) {
-            // A tool asking us to originate a snapshot.
-            if (!AdmitRequest(conn, m.req_id)) return;
-            uint64_t tool_req = m.req_id;
-            Dispatch(RxMeta(conn, tool_req),
-                     [this, conn, tool_req](Pid h) { StartSnapshot(conn, tool_req, h); });
-          } else {
-            HandleSnapshotReq(conn, m);
-          }
+          HandleCollectiveReq<SnapshotCollective>(conn, m);
         } else if constexpr (std::is_same_v<T, SnapshotResp>) {
-          HandleSnapshotResp(m);
+          HandleCollectiveResp<SnapshotCollective>(m);
         } else if constexpr (std::is_same_v<T, StatReq>) {
-          if (m.origin_host.empty()) {
-            // A tool asking us to originate a cluster-wide stat round.
-            if (!AdmitRequest(conn, m.req_id)) return;
-            uint64_t tool_req = m.req_id;
-            bool dump = m.dump_flight;
-            Dispatch(RxMeta(conn, tool_req), [this, conn, tool_req, dump](Pid h) {
-              StartStat(conn, tool_req, dump, h);
-            });
-          } else {
-            HandleStatReq(conn, m);
-          }
+          HandleCollectiveReq<StatCollective>(conn, m);
         } else if constexpr (std::is_same_v<T, StatResp>) {
-          HandleStatResp(m);
+          HandleCollectiveResp<StatCollective>(m);
         } else if constexpr (std::is_same_v<T, StatSubscribe>) {
           HandleStatSubscribe(conn, m);
         } else if constexpr (std::is_same_v<T, StatDelta>) {
@@ -1985,68 +2011,37 @@ void Lpm::SiblingSetupTimedOut(const std::string& host) {
   SiblingSetupFailed(host, "sibling setup timed out");
 }
 
-// --- snapshots (the graph-covering broadcast of Section 4) ------------------------------
+// --- the covering-graph broadcast (paper Section 4) ------------------------------------------
+//
+// Every broadcast — snapshot, STAT, the StatSubscribe that opens a watch,
+// and the envar update flood — is one mechanism: the origin mints an
+// <origin, bcast_seq> pair and records it (OriginateBcast); every manager
+// drops a pair it has already seen (AcceptBcast) and re-floods the rest
+// to all siblings except the one it came from (Flood).  Snapshot and STAT
+// add the request/reply collective on top: each manager answers along
+// the recorded source-destination route, and the origin collects until
+// its CoverageTally empties or snapshot_timeout fires.
 
-void Lpm::StartSnapshot(net::ConnId tool_conn, uint64_t tool_req_id, Pid handler) {
-  uint64_t seq = NextBcastSeq();
+uint64_t Lpm::OriginateBcast() {
+  const uint64_t seq = next_bcast_seq_++;
   ++stats_.bcasts_originated;
   // Record our own broadcast so an echo through a cycle is suppressed.
   bcast_filter_.CheckAndRecord(host_name(), seq, simulator().Now());
-
-  sim::SimDuration cost = kernel().Charge(handler, BaseCosts::kHandlerWork);
-  cost += kernel().Charge(
-      handler, BaseCosts::kPerProcessScan * static_cast<int64_t>(local_procs_.size() + 1));
-  simulator().ScheduleIn(cost, [this, tool_conn, tool_req_id, handler, seq] {
-    if (!running_) return;
-    SnapshotRun run;
-    run.tool_req_id = tool_req_id;
-    run.tool_conn = tool_conn;
-    run.handler = handler;
-    run.records = ScanLocalProcesses();
-    // Root of the broadcast's causal trace: every flood hop, reply, and
-    // relay becomes a descendant span, so the finished trace replays the
-    // covering-graph tree (paper Section 4's recorded routes).
-    run.trace = obs::Tracer::Instance().StartTrace("snapshot", host_name());
-    run.start_us = simulator().Now();
-
-    SnapshotReq templ;
-    templ.req_id = seq;
-    templ.origin_host = host_name();
-    templ.bcast_seq = seq;
-    templ.signed_ts = simulator().Now();  // "signed" by naming the origin host
-    templ.route.push_back(host_name());
-
-    std::vector<std::string> sent;
-    FloodSnapshot(seq, templ, /*except_host=*/"", &sent, run.trace);
-    for (const std::string& h : sent) run.outstanding.insert(h);
-    run.replied.insert(host_name());
-    {
-      std::string to;
-      for (const std::string& h : sent) to += h + " ";
-      PPM_DEBUG("lpm") << host_name() << ": snapshot seq " << seq
-                       << " flooded to [ " << to << "]";
-    }
-
-    if (!run.outstanding.empty()) {
-      run.timeout_ev = simulator().ScheduleIn(config_.snapshot_timeout, [this, seq] {
-        auto it = snapshots_.find(seq);
-        if (it == snapshots_.end()) return;
-        it->second.timeout_ev = sim::kInvalidEventId;
-        FinishSnapshot(it->second, seq);
-      }, "lpm-snapshot-timeout");
-      snapshots_[seq] = std::move(run);
-    } else {
-      snapshots_[seq] = std::move(run);
-      FinishSnapshot(snapshots_[seq], seq);
-    }
-  }, "lpm-snapshot-start");
+  return seq;
 }
 
-sim::SimDuration Lpm::FloodSnapshot(uint64_t bcast_seq, const SnapshotReq& templ,
-                                    const std::string& except_host,
-                                    std::vector<std::string>* sent_to,
-                                    const obs::TraceContext& parent) {
-  (void)bcast_seq;
+bool Lpm::AcceptBcast(const std::string& origin, uint64_t seq) {
+  if (bcast_filter_.CheckAndRecord(origin, seq, simulator().Now())) return true;
+  ++stats_.bcast_duplicates;
+  obs::HealthMonitor::Instance().RateEvent("lpm.bcast.dup");
+  PPM_DEBUG("lpm") << host_name() << ": suppressed duplicate flood from " << origin
+                   << " seq " << seq;
+  return false;
+}
+
+sim::SimDuration Lpm::Flood(const Msg& msg, const std::string& except_host,
+                            const char* label, std::vector<std::string>* sent_to,
+                            const obs::TraceContext& parent, const char* span) {
   // The dispatcher marshals once and then writes the message to each
   // sibling channel in turn: the first send pays the full marshalling
   // cost, the rest only the write.
@@ -2058,34 +2053,92 @@ sim::SimDuration Lpm::FloodSnapshot(uint64_t bcast_seq, const SnapshotReq& templ
                                         : BaseCosts::kSiblingSendExtra);
     first = false;
     net::ConnId target = conn;
-    simulator().ScheduleIn(cum, [this, target, templ, parent] {
+    simulator().ScheduleIn(cum, [this, target, msg, parent, span] {
       if (!running_) return;
       // One hop span per fan-out edge, opened at the moment the frame
-      // actually leaves; closed by the receiving LPM's OnData.
-      obs::TraceContext hop =
-          obs::Tracer::Instance().StartSpan(parent, "snapshot.req", host_name());
-      SendMsg(target, templ, hop);
-    }, "lpm-flood-send");
+      // actually leaves; closed by the receiving LPM's OnData.  Without a
+      // parent span the frame goes out untraced.
+      SendMsg(target, msg, obs::Tracer::Instance().StartSpan(parent, span, host_name()));
+    }, label);
     if (sent_to) sent_to->push_back(host);
   }
   return cum;
 }
 
-void Lpm::HandleSnapshotReq(net::ConnId conn, const SnapshotReq& req) {
-  (void)conn;
-  // The hop span that carried the request here: re-floods and the reply
-  // continue the causal chain under it.
-  obs::TraceContext rx = rx_trace_;
-  if (!bcast_filter_.CheckAndRecord(req.origin_host, req.bcast_seq, simulator().Now())) {
-    ++stats_.bcast_duplicates;
-    obs::HealthMonitor::Instance().RateEvent("lpm.bcast.dup");
-    PPM_DEBUG("lpm") << host_name() << ": suppressed duplicate snapshot flood from "
-                     << req.origin_host << " seq " << req.bcast_seq;
+template <typename C>
+void Lpm::StartCollective(net::ConnId tool_conn, const typename C::Req& tool_req,
+                          Pid handler) {
+  const uint64_t seq = OriginateBcast();
+  if constexpr (std::is_same_v<C, StatCollective>) {
+    // On-demand black-box dump; the text is retained in last_dump() for
+    // the tool side (ppmstat fetches it out of the in-process recorder).
+    if (tool_req.dump_flight) {
+      obs::FlightRecorder::Instance().Dump("stat request from tool");
+    }
+  }
+
+  sim::SimDuration cost = kernel().Charge(handler, BaseCosts::kHandlerWork);
+  cost += kernel().Charge(
+      handler, BaseCosts::kPerProcessScan * static_cast<int64_t>(local_procs_.size() + 1));
+  const uint64_t tool_req_id = tool_req.req_id;
+  simulator().ScheduleIn(cost, [this, tool_conn, tool_req_id, handler, seq] {
+    if (!running_) return;
+    typename C::Run run;
+    run.tool_req_id = tool_req_id;
+    run.tool_conn = tool_conn;
+    run.handler = handler;
+    run.records = C::LocalRecords(*this);
+    // Root of the broadcast's causal trace: every flood hop, reply, and
+    // relay becomes a descendant span, so the finished trace replays the
+    // covering-graph tree (paper Section 4's recorded routes).
+    run.trace = obs::Tracer::Instance().StartTrace(C::kTrace, host_name());
+    run.start_us = simulator().Now();
+
+    typename C::Req templ;
+    templ.req_id = seq;
+    templ.origin_host = host_name();
+    templ.bcast_seq = seq;
+    templ.signed_ts = simulator().Now();  // "signed" by naming the origin host
+    templ.route.push_back(host_name());
+
+    std::vector<std::string> sent;
+    Flood(Msg{std::move(templ)}, /*except_host=*/"", "lpm-flood-send", &sent, run.trace,
+          C::kReqSpan);
+    run.tally = CoverageTally(host_name(), sent);
+    PPM_DEBUG("lpm") << host_name() << ": " << C::kTrace << " seq " << seq
+                     << " flooded to " << sent.size() << " siblings";
+
+    const bool done = run.tally.done();
+    if (!done) {
+      run.timeout_ev = simulator().ScheduleIn(config_.snapshot_timeout, [this, seq] {
+        auto& runs = C::Runs(*this);
+        auto it = runs.find(seq);
+        if (it == runs.end()) return;
+        it->second.timeout_ev = sim::kInvalidEventId;
+        FinishCollective<C>(seq);
+      }, C::kTimeoutLabel);
+    }
+    C::Runs(*this)[seq] = std::move(run);
+    if (done) FinishCollective<C>(seq);
+  }, C::kStartLabel);
+}
+
+template <typename C>
+void Lpm::HandleCollectiveReq(net::ConnId conn, const typename C::Req& req) {
+  if (req.origin_host.empty()) {
+    // A tool asking us to originate the broadcast.
+    if (!AdmitRequest(conn, req.req_id)) return;
+    Dispatch(RxMeta(conn, req.req_id),
+             [this, conn, req](Pid h) { StartCollective<C>(conn, req, h); });
     return;
   }
+  // A sibling's flood leg.  The hop span that carried the request here:
+  // re-floods and the reply continue the causal chain under it.
+  obs::TraceContext rx = rx_trace_;
+  if (!AcceptBcast(req.origin_host, req.bcast_seq)) return;
   std::string sender = req.route.empty() ? std::string() : req.route.back();
   Dispatch([this, req, sender, rx](Pid h) {
-    ++stats_.snapshots_served;
+    ++stats_.snapshots_served;  // a snapshot or STAT serve: one local scan
     sim::SimDuration cost = kernel().Charge(h, BaseCosts::kHandlerWork);
     cost += kernel().Charge(
         h, BaseCosts::kPerProcessScan * static_cast<int64_t>(local_procs_.size() + 1));
@@ -2094,101 +2147,90 @@ void Lpm::HandleSnapshotReq(net::ConnId conn, const SnapshotReq& req) {
         ReleaseHandler(h);
         return;
       }
-      SnapshotReq fwd = req;
+      typename C::Req fwd = req;
       fwd.route.push_back(host_name());
-      std::vector<std::string> sent;
-      sim::SimDuration flood_cost = FloodSnapshot(req.bcast_seq, fwd, sender, &sent, rx);
-
-      SnapshotResp resp;
+      typename C::Resp resp;
+      sim::SimDuration flood_cost =
+          Flood(Msg{fwd}, sender, "lpm-flood-send", &resp.forwarded_to, rx, C::kReqSpan);
       resp.req_id = req.req_id;
       resp.origin_host = req.origin_host;
       resp.bcast_seq = req.bcast_seq;
       resp.replier_host = host_name();
-      resp.forwarded_to = sent;
-      resp.route = fwd.route;  // origin … us; replies walk it backwards
+      resp.route = std::move(fwd.route);  // origin … us; replies walk it backwards
       resp.route_index = 0;
-      resp.records = ScanLocalProcesses();
+      resp.records = C::LocalRecords(*this);
       // First hop of the return path is whoever handed us the request.
       // The reply is marshalled after the forwarded floods have left.
       auto sit = siblings_.find(sender);
       if (sit != siblings_.end()) {
         obs::TraceContext hop =
-            obs::Tracer::Instance().StartSpan(rx, "snapshot.resp", host_name());
-        SendToSibling(sit->second, Msg{resp}, BaseCosts::kSiblingSend, flood_cost, hop);
+            obs::Tracer::Instance().StartSpan(rx, C::kRespSpan, host_name());
+        SendToSibling(sit->second, Msg{std::move(resp)}, BaseCosts::kSiblingSend,
+                      flood_cost, hop);
       }
       // If the channel back is gone the origin's timeout covers us.
       ReleaseHandler(h);
-    }, "lpm-snapshot-serve");
+    }, C::kServeLabel);
   });
 }
 
-void Lpm::HandleSnapshotResp(const SnapshotResp& resp) {
+template <typename C>
+void Lpm::HandleCollectiveResp(const typename C::Resp& resp) {
   obs::TraceContext rx = rx_trace_;
   if (resp.origin_host != host_name()) {
     // Relay toward the origin along the recorded route (paper Section 4:
     // "All data returned to the originator of a broadcast request
     // includes the message's source-destination route").
-    auto pos = std::find(resp.route.begin(), resp.route.end(), host_name());
-    if (pos == resp.route.end() || pos == resp.route.begin()) return;
-    const std::string& next = *(pos - 1);
-    auto sit = siblings_.find(next);
+    const std::string* next = PreviousHop(resp.route, host_name());
+    if (next == nullptr) return;
+    auto sit = siblings_.find(*next);
     if (sit == siblings_.end()) return;  // path broke; origin times out
     // Relaying costs a dispatch plus a channel write ("quick routing" of
     // replies along the recorded route, but not free).
     obs::TraceContext hop =
-        obs::Tracer::Instance().StartSpan(rx, "snapshot.resp.relay", host_name());
+        obs::Tracer::Instance().StartSpan(rx, C::kRelaySpan, host_name());
     SendToSibling(sit->second, Msg{resp},
                   BaseCosts::kDispatch + BaseCosts::kHandlerWork + BaseCosts::kSiblingSend,
                   0, hop);
     return;
   }
-  auto it = snapshots_.find(resp.bcast_seq);
-  if (it == snapshots_.end()) return;  // finished or timed out already
-  SnapshotRun& run = it->second;
-  if (run.replied.count(resp.replier_host)) return;  // duplicate reply
-  run.replied.insert(resp.replier_host);
-  run.outstanding.erase(resp.replier_host);
-  for (const ProcRecord& rec : resp.records) run.records.push_back(rec);
-  for (const std::string& h : resp.forwarded_to) {
-    if (!run.replied.count(h)) run.outstanding.insert(h);
-  }
-  MaybeFinishSnapshot(resp.bcast_seq);
+  auto& runs = C::Runs(*this);
+  auto it = runs.find(resp.bcast_seq);
+  if (it == runs.end()) return;  // finished or timed out already
+  typename C::Run& run = it->second;
+  if (!run.tally.Reply(resp.replier_host, resp.forwarded_to)) return;  // duplicate reply
+  run.records.insert(run.records.end(), resp.records.begin(), resp.records.end());
+  if (run.tally.done()) FinishCollective<C>(resp.bcast_seq);
 }
 
-void Lpm::MaybeFinishSnapshot(uint64_t bcast_seq) {
-  auto it = snapshots_.find(bcast_seq);
-  if (it == snapshots_.end()) return;
-  if (!it->second.outstanding.empty()) return;
-  FinishSnapshot(it->second, bcast_seq);
-}
-
-void Lpm::FinishSnapshot(SnapshotRun& run, uint64_t bcast_seq) {
-  if (run.complete) return;
-  run.complete = true;
+template <typename C>
+void Lpm::FinishCollective(uint64_t bcast_seq) {
+  auto& runs = C::Runs(*this);
+  auto it = runs.find(bcast_seq);
+  if (it == runs.end()) return;
+  typename C::Run& run = it->second;
   simulator().Cancel(run.timeout_ev);
-  Metrics().snapshot_ms->Observe(
-      static_cast<double>(simulator().Now() - run.start_us) / 1000.0);
-  SnapshotResp out;
+  C::Latency()->Observe(static_cast<double>(simulator().Now() - run.start_us) / 1000.0);
+  typename C::Resp out;
   out.req_id = run.tool_req_id;
   out.origin_host = host_name();
   out.bcast_seq = bcast_seq;
   out.replier_host = host_name();
   // The tool learns which hosts contributed (coverage) via forwarded_to.
-  out.forwarded_to.assign(run.replied.begin(), run.replied.end());
+  out.forwarded_to = run.tally.Covered();
   out.records = std::move(run.records);
   // The final hop to the tool closes the trace's outermost branch.
   obs::TraceContext hop =
-      obs::Tracer::Instance().StartSpan(run.trace, "snapshot.done", host_name());
+      obs::Tracer::Instance().StartSpan(run.trace, C::kDoneSpan, host_name());
   if (peers_.count(run.tool_conn)) SendMsg(run.tool_conn, out, hop);
   ReleaseHandler(run.handler);
-  snapshots_.erase(bcast_seq);
+  runs.erase(bcast_seq);
 }
 
 // --- live introspection (the STAT protocol) ------------------------------------------------
 //
-// Same covering-graph broadcast as the snapshot above — one flood, one
-// reverse-routed reply per manager — but the payload is each manager's
-// structured self-description (BuildStatRecord) rather than a process
+// The snapshot's collective with each manager's structured
+// self-description (BuildStatRecord) as the payload instead of a process
 // scan.  ppmstat renders the collected records as a cluster-wide table.
 
 LpmStatRecord Lpm::BuildStatRecord() {
@@ -2257,19 +2299,7 @@ LpmStatRecord Lpm::BuildStatRecord() {
   rec.flight_records = obs::FlightRecorder::Instance().total_recorded();
   rec.flight_dumps = obs::FlightRecorder::Instance().dump_count();
 
-  obs::LpmHealthInputs in;
-  in.eventlog_recorded = event_log_.total_recorded();
-  in.eventlog_dropped = event_log_.total_dropped();
-  in.bcasts_handled = stats_.bcasts_originated + stats_.snapshots_served;
-  in.bcast_duplicates = stats_.bcast_duplicates;
-  in.requests = stats_.requests;
-  in.request_timeouts = stats_.request_timeouts;
-  in.handler_queue_depth = handler_queue_.size();
-  in.journal_pending = store_ ? store_->journal().pending_appends() : 0;
-  in.deadline_expired = stats_.deadline_expired;
-  in.requests_shed = stats_.requests_shed;
-  in.breaker_open = open_breaker_count();
-  obs::HealthReport report = obs::ClassifyLpm(in);
+  obs::HealthReport report = ClassifyHealth();
   rec.health = static_cast<uint8_t>(report.level);
   rec.health_reasons = std::move(report.reasons);
 
@@ -2308,178 +2338,20 @@ LpmStatRecord Lpm::BuildStatRecord() {
   return rec;
 }
 
-void Lpm::StartStat(net::ConnId tool_conn, uint64_t tool_req_id, bool dump_flight,
-                    Pid handler) {
-  uint64_t seq = NextBcastSeq();
-  ++stats_.bcasts_originated;
-  bcast_filter_.CheckAndRecord(host_name(), seq, simulator().Now());
-  if (dump_flight) {
-    // On-demand black-box dump; the text is retained in last_dump() for
-    // the tool side (ppmstat fetches it out of the in-process recorder).
-    obs::FlightRecorder::Instance().Dump("stat request from tool");
-  }
-
-  sim::SimDuration cost = kernel().Charge(handler, BaseCosts::kHandlerWork);
-  cost += kernel().Charge(
-      handler, BaseCosts::kPerProcessScan * static_cast<int64_t>(local_procs_.size() + 1));
-  simulator().ScheduleIn(cost, [this, tool_conn, tool_req_id, handler, seq] {
-    if (!running_) return;
-    StatRun run;
-    run.tool_req_id = tool_req_id;
-    run.tool_conn = tool_conn;
-    run.handler = handler;
-    run.records.push_back(BuildStatRecord());
-    run.trace = obs::Tracer::Instance().StartTrace("stat", host_name());
-    run.start_us = simulator().Now();
-
-    StatReq templ;
-    templ.req_id = seq;
-    templ.origin_host = host_name();
-    templ.bcast_seq = seq;
-    templ.signed_ts = simulator().Now();
-    templ.route.push_back(host_name());
-
-    std::vector<std::string> sent;
-    FloodStat(seq, templ, /*except_host=*/"", &sent, run.trace);
-    for (const std::string& h : sent) run.outstanding.insert(h);
-    run.replied.insert(host_name());
-
-    if (!run.outstanding.empty()) {
-      run.timeout_ev = simulator().ScheduleIn(config_.snapshot_timeout, [this, seq] {
-        auto it = stat_runs_.find(seq);
-        if (it == stat_runs_.end()) return;
-        it->second.timeout_ev = sim::kInvalidEventId;
-        FinishStat(it->second, seq);
-      }, "lpm-stat-timeout");
-      stat_runs_[seq] = std::move(run);
-    } else {
-      stat_runs_[seq] = std::move(run);
-      FinishStat(stat_runs_[seq], seq);
-    }
-  }, "lpm-stat-start");
-}
-
-sim::SimDuration Lpm::FloodStat(uint64_t bcast_seq, const StatReq& templ,
-                                const std::string& except_host,
-                                std::vector<std::string>* sent_to,
-                                const obs::TraceContext& parent) {
-  (void)bcast_seq;
-  sim::SimDuration cum = 0;
-  bool first = true;
-  for (const auto& [host, conn] : siblings_) {
-    if (host == except_host) continue;
-    cum += kernel().Charge(pid(), first ? BaseCosts::kSiblingSend
-                                        : BaseCosts::kSiblingSendExtra);
-    first = false;
-    net::ConnId target = conn;
-    simulator().ScheduleIn(cum, [this, target, templ, parent] {
-      if (!running_) return;
-      obs::TraceContext hop =
-          obs::Tracer::Instance().StartSpan(parent, "stat.req", host_name());
-      SendMsg(target, templ, hop);
-    }, "lpm-flood-send");
-    if (sent_to) sent_to->push_back(host);
-  }
-  return cum;
-}
-
-void Lpm::HandleStatReq(net::ConnId conn, const StatReq& req) {
-  (void)conn;
-  obs::TraceContext rx = rx_trace_;
-  if (!bcast_filter_.CheckAndRecord(req.origin_host, req.bcast_seq, simulator().Now())) {
-    ++stats_.bcast_duplicates;
-    obs::HealthMonitor::Instance().RateEvent("lpm.bcast.dup");
-    return;
-  }
-  std::string sender = req.route.empty() ? std::string() : req.route.back();
-  Dispatch([this, req, sender, rx](Pid h) {
-    ++stats_.snapshots_served;  // a stat serve is a local scan too
-    sim::SimDuration cost = kernel().Charge(h, BaseCosts::kHandlerWork);
-    cost += kernel().Charge(
-        h, BaseCosts::kPerProcessScan * static_cast<int64_t>(local_procs_.size() + 1));
-    simulator().ScheduleIn(cost, [this, req, sender, rx, h] {
-      if (!running_) {
-        ReleaseHandler(h);
-        return;
-      }
-      StatReq fwd = req;
-      fwd.route.push_back(host_name());
-      std::vector<std::string> sent;
-      sim::SimDuration flood_cost = FloodStat(req.bcast_seq, fwd, sender, &sent, rx);
-
-      StatResp resp;
-      resp.req_id = req.req_id;
-      resp.origin_host = req.origin_host;
-      resp.bcast_seq = req.bcast_seq;
-      resp.replier_host = host_name();
-      resp.forwarded_to = sent;
-      resp.route = fwd.route;
-      resp.route_index = 0;
-      resp.records.push_back(BuildStatRecord());
-      auto sit = siblings_.find(sender);
-      if (sit != siblings_.end()) {
-        obs::TraceContext hop =
-            obs::Tracer::Instance().StartSpan(rx, "stat.resp", host_name());
-        SendToSibling(sit->second, Msg{resp}, BaseCosts::kSiblingSend, flood_cost, hop);
-      }
-      ReleaseHandler(h);
-    }, "lpm-stat-serve");
-  });
-}
-
-void Lpm::HandleStatResp(const StatResp& resp) {
-  obs::TraceContext rx = rx_trace_;
-  if (resp.origin_host != host_name()) {
-    auto pos = std::find(resp.route.begin(), resp.route.end(), host_name());
-    if (pos == resp.route.end() || pos == resp.route.begin()) return;
-    const std::string& next = *(pos - 1);
-    auto sit = siblings_.find(next);
-    if (sit == siblings_.end()) return;  // path broke; origin times out
-    obs::TraceContext hop =
-        obs::Tracer::Instance().StartSpan(rx, "stat.resp.relay", host_name());
-    SendToSibling(sit->second, Msg{resp},
-                  BaseCosts::kDispatch + BaseCosts::kHandlerWork + BaseCosts::kSiblingSend,
-                  0, hop);
-    return;
-  }
-  auto it = stat_runs_.find(resp.bcast_seq);
-  if (it == stat_runs_.end()) return;  // finished or timed out already
-  StatRun& run = it->second;
-  if (run.replied.count(resp.replier_host)) return;  // duplicate reply
-  run.replied.insert(resp.replier_host);
-  run.outstanding.erase(resp.replier_host);
-  for (const LpmStatRecord& rec : resp.records) run.records.push_back(rec);
-  for (const std::string& h : resp.forwarded_to) {
-    if (!run.replied.count(h)) run.outstanding.insert(h);
-  }
-  MaybeFinishStat(resp.bcast_seq);
-}
-
-void Lpm::MaybeFinishStat(uint64_t bcast_seq) {
-  auto it = stat_runs_.find(bcast_seq);
-  if (it == stat_runs_.end()) return;
-  if (!it->second.outstanding.empty()) return;
-  FinishStat(it->second, bcast_seq);
-}
-
-void Lpm::FinishStat(StatRun& run, uint64_t bcast_seq) {
-  if (run.complete) return;
-  run.complete = true;
-  simulator().Cancel(run.timeout_ev);
-  Metrics().stat_ms->Observe(
-      static_cast<double>(simulator().Now() - run.start_us) / 1000.0);
-  StatResp out;
-  out.req_id = run.tool_req_id;
-  out.origin_host = host_name();
-  out.bcast_seq = bcast_seq;
-  out.replier_host = host_name();
-  out.forwarded_to.assign(run.replied.begin(), run.replied.end());
-  out.records = std::move(run.records);
-  obs::TraceContext hop =
-      obs::Tracer::Instance().StartSpan(run.trace, "stat.done", host_name());
-  if (peers_.count(run.tool_conn)) SendMsg(run.tool_conn, out, hop);
-  ReleaseHandler(run.handler);
-  stat_runs_.erase(bcast_seq);
+obs::HealthReport Lpm::ClassifyHealth() const {
+  obs::LpmHealthInputs in;
+  in.eventlog_recorded = event_log_.total_recorded();
+  in.eventlog_dropped = event_log_.total_dropped();
+  in.bcasts_handled = stats_.bcasts_originated + stats_.snapshots_served;
+  in.bcast_duplicates = stats_.bcast_duplicates;
+  in.requests = stats_.requests;
+  in.request_timeouts = stats_.request_timeouts;
+  in.handler_queue_depth = handler_queue_.size();
+  in.journal_pending = store_ ? store_->journal().pending_appends() : 0;
+  in.deadline_expired = stats_.deadline_expired;
+  in.requests_shed = stats_.requests_shed;
+  in.breaker_open = open_breaker_count();
+  return obs::ClassifyLpm(in);
 }
 
 // --- stat watches (push-based continuous telemetry) ----------------------------------------
@@ -2511,19 +2383,12 @@ void Lpm::HandleStatSubscribe(net::ConnId conn, const StatSubscribe& req) {
   if (req.origin_host.empty()) {
     // A tool asking us to originate a watch.
     if (!AdmitRequest(conn, req.req_id)) return;
-    uint64_t tool_req = req.req_id;
-    uint64_t interval = req.interval_us ? req.interval_us : 1'000'000;
-    Dispatch(RxMeta(conn, tool_req), [this, conn, tool_req, interval](Pid h) {
-      StartStatWatch(conn, tool_req, interval, h);
-    });
+    Dispatch(RxMeta(conn, req.req_id),
+             [this, conn, req](Pid h) { StartStatWatch(conn, req, h); });
     return;
   }
   // Sibling leg of the subscribe flood.
-  if (!bcast_filter_.CheckAndRecord(req.origin_host, req.bcast_seq, simulator().Now())) {
-    ++stats_.bcast_duplicates;
-    obs::HealthMonitor::Instance().RateEvent("lpm.bcast.dup");
-    return;
-  }
+  if (!AcceptBcast(req.origin_host, req.bcast_seq)) return;
   StatWatchKey key{req.origin_host, req.watch_id};
   if (stat_watches_.count(key)) return;  // resubscribed through another edge
   std::string sender = req.route.empty() ? std::string() : req.route.back();
@@ -2536,50 +2401,18 @@ void Lpm::HandleStatSubscribe(net::ConnId conn, const StatSubscribe& req) {
   w.parent_host = sender;
   w.parent_conn = conn;  // pinned: deltas only ever flow back along this edge
   w.interval_us = req.interval_us ? req.interval_us : 1'000'000;
-  w.base_t_us = static_cast<uint64_t>(simulator().Now());
-  w.base_kernel_events = stats_.kernel_events;
-  w.base_requests = stats_.requests;
-  w.base_requests_shed = stats_.requests_shed;
-  w.base_retries = stats_.retries;
-  w.base_journal_bytes = store_ ? store_->journal().size_bytes() : 0;
-  w.base_eventlog_recorded = event_log_.total_recorded();
-  w.base_acct_cpu_us = AcctCpuUs();
-  stat_watches_[key] = std::move(w);
-  Metrics().watch_subscribes->Inc();
-  Metrics().watch_active->Add(1);
+  AddStatWatch(key, std::move(w));
 
   StatSubscribe fwd = req;
   fwd.route.push_back(host_name());
-  FloodStatSubscribe(fwd, sender);
+  Flood(Msg{std::move(fwd)}, sender, "lpm-watch-flood");
   ScheduleStatPush(key);
 }
 
-void Lpm::StartStatWatch(net::ConnId tool_conn, uint64_t tool_req_id,
-                         uint64_t interval_us, Pid handler) {
+void Lpm::StartStatWatch(net::ConnId tool_conn, const StatSubscribe& tool_req,
+                         Pid handler) {
   uint64_t watch_id = NextReqId();
-  uint64_t seq = NextBcastSeq();
-  ++stats_.bcasts_originated;
-  bcast_filter_.CheckAndRecord(host_name(), seq, simulator().Now());
-
-  StatWatch w;
-  w.origin_host = host_name();
-  w.watch_id = watch_id;
-  w.is_origin = true;
-  w.tool_conn = tool_conn;
-  w.tool_req_id = tool_req_id;
-  w.interval_us = interval_us;
-  w.base_t_us = static_cast<uint64_t>(simulator().Now());
-  w.base_kernel_events = stats_.kernel_events;
-  w.base_requests = stats_.requests;
-  w.base_requests_shed = stats_.requests_shed;
-  w.base_retries = stats_.retries;
-  w.base_journal_bytes = store_ ? store_->journal().size_bytes() : 0;
-  w.base_eventlog_recorded = event_log_.total_recorded();
-  w.base_acct_cpu_us = AcctCpuUs();
-  StatWatchKey key{host_name(), watch_id};
-  stat_watches_[key] = std::move(w);
-  Metrics().watch_subscribes->Inc();
-  Metrics().watch_active->Add(1);
+  uint64_t seq = OriginateBcast();
 
   StatSubscribe templ;
   templ.req_id = seq;
@@ -2588,32 +2421,24 @@ void Lpm::StartStatWatch(net::ConnId tool_conn, uint64_t tool_req_id,
   templ.bcast_seq = seq;
   templ.signed_ts = simulator().Now();
   templ.route.push_back(host_name());
-  templ.interval_us = interval_us;
-  FloodStatSubscribe(templ, /*except_host=*/"");
+  templ.interval_us = tool_req.interval_us ? tool_req.interval_us : 1'000'000;
+
+  StatWatch w;
+  w.origin_host = host_name();
+  w.watch_id = watch_id;
+  w.is_origin = true;
+  w.tool_conn = tool_conn;
+  w.tool_req_id = tool_req.req_id;
+  w.interval_us = templ.interval_us;
+  StatWatchKey key{host_name(), watch_id};
+  AddStatWatch(key, std::move(w));
+  Flood(Msg{std::move(templ)}, /*except_host=*/"", "lpm-watch-flood");
 
   // The first push doubles as the subscribe ack: it carries the tool's
   // req_id and the seq-1 baseline record, so the subscriber learns its
   // watch_id from the data stream itself.
   PushStatDelta(key);
   ReleaseHandler(handler);
-}
-
-sim::SimDuration Lpm::FloodStatSubscribe(const StatSubscribe& templ,
-                                         const std::string& except_host) {
-  sim::SimDuration cum = 0;
-  bool first = true;
-  for (const auto& [host, conn] : siblings_) {
-    if (host == except_host) continue;
-    cum += kernel().Charge(pid(), first ? BaseCosts::kSiblingSend
-                                        : BaseCosts::kSiblingSendExtra);
-    first = false;
-    net::ConnId target = conn;
-    simulator().ScheduleIn(cum, [this, target, templ] {
-      if (!running_) return;
-      SendMsg(target, templ);
-    }, "lpm-watch-flood");
-  }
-  return cum;
 }
 
 void Lpm::ScheduleStatPush(const StatWatchKey& key) {
@@ -2633,53 +2458,47 @@ void Lpm::ScheduleStatPush(const StatWatchKey& key) {
       "lpm-watch-push");
 }
 
+Lpm::StatCounters Lpm::SampleStatCounters() {
+  StatCounters c;
+  c.t_us = static_cast<uint64_t>(simulator().Now());
+  c.kernel_events = stats_.kernel_events;
+  c.requests = stats_.requests;
+  c.requests_shed = stats_.requests_shed;
+  c.retries = stats_.retries;
+  c.journal_bytes = store_ ? store_->journal().size_bytes() : 0;
+  c.eventlog_recorded = event_log_.total_recorded();
+  c.acct_cpu_us = AcctCpuUs();
+  return c;
+}
+
+void Lpm::AddStatWatch(const StatWatchKey& key, StatWatch w) {
+  w.base = SampleStatCounters();
+  stat_watches_[key] = std::move(w);
+  Metrics().watch_subscribes->Inc();
+  Metrics().watch_active->Add(1);
+}
+
 StatDeltaRecord Lpm::BuildStatDeltaRecord(StatWatch& w) {
+  const StatCounters now = SampleStatCounters();
   StatDeltaRecord r;
   r.host = host_name();
   r.user = user_;
   r.uid = static_cast<int32_t>(uid_);
   r.seq = ++w.seq;
-  const uint64_t now = static_cast<uint64_t>(simulator().Now());
-  const uint64_t journal_bytes = store_ ? store_->journal().size_bytes() : 0;
-  const uint64_t acct_cpu = AcctCpuUs();
-  r.t_us = now;
-  r.dt_us = now - w.base_t_us;
-  r.d_kernel_events = stats_.kernel_events - w.base_kernel_events;
-  r.d_requests = stats_.requests - w.base_requests;
-  r.d_requests_shed = stats_.requests_shed - w.base_requests_shed;
-  r.d_retries = stats_.retries - w.base_retries;
-  r.d_journal_bytes = journal_bytes - w.base_journal_bytes;
-  r.d_eventlog_recorded = event_log_.total_recorded() - w.base_eventlog_recorded;
-  r.d_acct_cpu_us = acct_cpu - w.base_acct_cpu_us;
+  r.t_us = now.t_us;
+  r.dt_us = now.t_us - w.base.t_us;
+  r.d_kernel_events = now.kernel_events - w.base.kernel_events;
+  r.d_requests = now.requests - w.base.requests;
+  r.d_requests_shed = now.requests_shed - w.base.requests_shed;
+  r.d_retries = now.retries - w.base.retries;
+  r.d_journal_bytes = now.journal_bytes - w.base.journal_bytes;
+  r.d_eventlog_recorded = now.eventlog_recorded - w.base.eventlog_recorded;
+  r.d_acct_cpu_us = now.acct_cpu_us - w.base.acct_cpu_us;
   r.queue_depth = static_cast<uint32_t>(handler_queue_.size());
-  uint32_t live = 0;
-  for (const auto& [lpid, info] : local_procs_) {
-    const host::Process* p = kernel().Find(lpid);
-    if (p && p->alive()) ++live;
-  }
-  r.procs_live = live;
-  obs::LpmHealthInputs in;
-  in.eventlog_recorded = event_log_.total_recorded();
-  in.eventlog_dropped = event_log_.total_dropped();
-  in.bcasts_handled = stats_.bcasts_originated + stats_.snapshots_served;
-  in.bcast_duplicates = stats_.bcast_duplicates;
-  in.requests = stats_.requests;
-  in.request_timeouts = stats_.request_timeouts;
-  in.handler_queue_depth = handler_queue_.size();
-  in.journal_pending = store_ ? store_->journal().pending_appends() : 0;
-  in.deadline_expired = stats_.deadline_expired;
-  in.requests_shed = stats_.requests_shed;
-  in.breaker_open = open_breaker_count();
-  r.health = static_cast<uint8_t>(obs::ClassifyLpm(in).level);
+  r.procs_live = static_cast<uint32_t>(adopted_live_count());
+  r.health = static_cast<uint8_t>(ClassifyHealth().level);
   // Next interval's deltas start here.
-  w.base_t_us = now;
-  w.base_kernel_events = stats_.kernel_events;
-  w.base_requests = stats_.requests;
-  w.base_requests_shed = stats_.requests_shed;
-  w.base_retries = stats_.retries;
-  w.base_journal_bytes = journal_bytes;
-  w.base_eventlog_recorded = event_log_.total_recorded();
-  w.base_acct_cpu_us = acct_cpu;
+  w.base = now;
   return r;
 }
 
@@ -3972,18 +3791,7 @@ void Lpm::HandleEnvarSet(net::ConnId conn, const EnvarSetReq& req) {
       // one winner without any coordination round.
       uint64_t version = group_table_.NextVersion(req.key);
       ApplyEnvar(req.key, req.value, version, host_name());
-      EnvarUpdate upd;
-      upd.origin_host = host_name();
-      upd.bcast_seq = NextBcastSeq();
-      upd.signed_ts = simulator().Now();
-      upd.route.push_back(host_name());
-      upd.key = req.key;
-      upd.value = req.value;
-      upd.version = version;
-      upd.version_origin = host_name();
-      ++stats_.bcasts_originated;
-      bcast_filter_.CheckAndRecord(host_name(), upd.bcast_seq, simulator().Now());
-      FloodGroupMsg(Msg{upd}, std::string());
+      FloodEnvar(req.key, req.value, version, host_name());
       resp.ok = true;
       resp.version = version;
       ReplyMsg(conn, resp);
@@ -4024,18 +3832,14 @@ void Lpm::HandleEnvarWatch(net::ConnId conn, const EnvarWatchReq& req) {
 }
 
 void Lpm::HandleEnvarUpdate(const EnvarUpdate& upd) {
-  if (!bcast_filter_.CheckAndRecord(upd.origin_host, upd.bcast_seq, simulator().Now())) {
-    ++stats_.bcast_duplicates;
-    obs::HealthMonitor::Instance().RateEvent("lpm.bcast.dup");
-    return;
-  }
+  if (!AcceptBcast(upd.origin_host, upd.bcast_seq)) return;
   // Re-flood away from the arrival leg regardless of whether we adopt
   // the value: the covering graph needs every edge walked even when this
   // replica already holds a newer version.
   std::string sender = upd.route.empty() ? std::string() : upd.route.back();
   EnvarUpdate fwd = upd;
   fwd.route.push_back(host_name());
-  FloodGroupMsg(Msg{fwd}, sender);
+  Flood(Msg{std::move(fwd)}, sender, "lpm-flood-send");
   ApplyEnvar(upd.key, upd.value, upd.version, upd.version_origin);
 }
 
@@ -4045,18 +3849,7 @@ void Lpm::HandleEnvarSync(const EnvarSync& sync) {
     // Adopted from anti-entropy: re-originate as a fresh flood so hosts
     // beyond this sibling hear of it too (their filters never saw the
     // original broadcast — it happened while we were apart).
-    EnvarUpdate upd;
-    upd.origin_host = host_name();
-    upd.bcast_seq = NextBcastSeq();
-    upd.signed_ts = simulator().Now();
-    upd.route.push_back(host_name());
-    upd.key = e.key;
-    upd.value = e.value;
-    upd.version = e.version;
-    upd.version_origin = e.origin;
-    ++stats_.bcasts_originated;
-    bcast_filter_.CheckAndRecord(host_name(), upd.bcast_seq, simulator().Now());
-    FloodGroupMsg(Msg{upd}, std::string());
+    FloodEnvar(e.key, e.value, e.version, e.origin);
   }
 }
 
@@ -4076,20 +3869,18 @@ bool Lpm::ApplyEnvar(const std::string& key, const std::string& value,
   return true;
 }
 
-void Lpm::FloodGroupMsg(const Msg& msg, const std::string& except_host) {
-  sim::SimDuration cum = 0;
-  bool first = true;
-  for (const auto& [sib_host, conn] : siblings_) {
-    if (sib_host == except_host) continue;
-    cum += kernel().Charge(pid(), first ? BaseCosts::kSiblingSend
-                                        : BaseCosts::kSiblingSendExtra);
-    first = false;
-    net::ConnId target = conn;
-    simulator().ScheduleIn(cum, [this, target, msg] {
-      if (!running_) return;
-      SendMsg(target, msg);
-    }, "lpm-flood-send");
-  }
+void Lpm::FloodEnvar(const std::string& key, const std::string& value, uint64_t version,
+                     const std::string& version_origin) {
+  EnvarUpdate upd;
+  upd.origin_host = host_name();
+  upd.bcast_seq = OriginateBcast();
+  upd.signed_ts = simulator().Now();
+  upd.route.push_back(host_name());
+  upd.key = key;
+  upd.value = value;
+  upd.version = version;
+  upd.version_origin = version_origin;
+  Flood(Msg{std::move(upd)}, /*except_host=*/"", "lpm-flood-send");
 }
 
 // --- factory --------------------------------------------------------------------------------

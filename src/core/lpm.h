@@ -45,6 +45,7 @@
 #include "group/group.h"
 #include "host/host.h"
 #include "net/network.h"
+#include "obs/health.h"
 #include "store/lpm_store.h"
 
 namespace ppm::core {
@@ -304,37 +305,37 @@ class Lpm : public host::ProcessBody {
     std::function<void(host::Pid)> fn;
   };
 
-  // --- snapshot runs (this LPM as origin) -----------------------------------
-  struct SnapshotRun {
+  // --- request/reply collectives (this LPM as origin) ------------------------
+  // Snapshot and STAT are one collective; they differ only in the record
+  // each manager contributes and the names a run is observed under, which
+  // SnapshotCollective and StatCollective (lpm.cc) supply.
+  struct SnapshotCollective;
+  struct StatCollective;
+  template <typename Record>
+  struct CollectiveRun {
     uint64_t tool_req_id = 0;
     net::ConnId tool_conn = net::kInvalidConn;
     host::Pid handler = host::kNoPid;
-    std::vector<ProcRecord> records;
-    std::set<std::string> replied;
-    std::set<std::string> outstanding;
+    std::vector<Record> records;
+    CoverageTally tally;
     sim::EventId timeout_ev = sim::kInvalidEventId;
-    bool complete = false;
     obs::TraceContext trace;     // root span of the broadcast's causal trace
-    sim::SimTime start_us = 0;   // for the snapshot round-trip histogram
-  };
-
-  // --- stat runs (this LPM as origin) ---------------------------------------
-  // Same shape as SnapshotRun: one covering-graph broadcast, replies
-  // carrying LpmStatRecords instead of process scans.
-  struct StatRun {
-    uint64_t tool_req_id = 0;
-    net::ConnId tool_conn = net::kInvalidConn;
-    host::Pid handler = host::kNoPid;
-    std::vector<LpmStatRecord> records;
-    std::set<std::string> replied;
-    std::set<std::string> outstanding;
-    sim::EventId timeout_ev = sim::kInvalidEventId;
-    bool complete = false;
-    obs::TraceContext trace;
-    sim::SimTime start_us = 0;
+    sim::SimTime start_us = 0;   // for the round-trip histogram
   };
 
   // --- stat watches (continuous telemetry; see wire.h 0xF6 subs 2-4) -------
+  // The counters a watch reports deltas of, sampled at one instant.
+  struct StatCounters {
+    uint64_t t_us = 0;
+    uint64_t kernel_events = 0;
+    uint64_t requests = 0;
+    uint64_t requests_shed = 0;
+    uint64_t retries = 0;
+    uint64_t journal_bytes = 0;
+    uint64_t eventlog_recorded = 0;
+    uint64_t acct_cpu_us = 0;
+  };
+
   // One entry per <origin, watch_id> this LPM participates in.  The
   // delta path is pinned at subscribe time: the sibling circuit the
   // StatSubscribe flood arrived on becomes parent_conn, and deltas only
@@ -356,14 +357,7 @@ class Lpm : public host::ProcessBody {
     uint64_t seq = 0;                         // last sequence number pushed
     // Counter snapshot at the previous push — deltas are differences
     // against this, so each interval's record is self-contained.
-    uint64_t base_t_us = 0;
-    uint64_t base_kernel_events = 0;
-    uint64_t base_requests = 0;
-    uint64_t base_requests_shed = 0;
-    uint64_t base_retries = 0;
-    uint64_t base_journal_bytes = 0;
-    uint64_t base_eventlog_recorded = 0;
-    uint64_t base_acct_cpu_us = 0;
+    StatCounters base;
     // Child records buffered since the last push (in-transit aggregation:
     // one upstream frame per interval carries them all).
     std::vector<StatDeltaRecord> pending;
@@ -434,8 +428,6 @@ class Lpm : public host::ProcessBody {
   void HandleTrigger(net::ConnId conn, const TriggerReq& req);
   void HandleFiles(net::ConnId conn, const FilesReq& req);
   void HandleMigrate(net::ConnId conn, const MigrateReq& req);
-  void HandleSnapshotReq(net::ConnId conn, const SnapshotReq& req);
-  void HandleSnapshotResp(const SnapshotResp& resp);
   void HandleResponse(const Msg& msg, uint64_t req_id);
 
   // local actions
@@ -464,40 +456,43 @@ class Lpm : public host::ProcessBody {
                           bool count_failure = true);
   void SiblingSetupTimedOut(const std::string& host);
 
-  // snapshots
-  void StartSnapshot(net::ConnId tool_conn, uint64_t tool_req_id, host::Pid handler);
-  // Sends the request to every sibling except `except_host`; returns the
-  // accumulated dispatcher cost of the sends.
-  sim::SimDuration FloodSnapshot(uint64_t bcast_seq, const SnapshotReq& templ,
-                                 const std::string& except_host,
-                                 std::vector<std::string>* sent_to,
-                                 const obs::TraceContext& parent = {});
-  void MaybeFinishSnapshot(uint64_t bcast_seq);
-  void FinishSnapshot(SnapshotRun& run, uint64_t bcast_seq);
+  // the covering-graph broadcast (paper Section 4)
+  // Mints, counts and records (in the filter) a broadcast of this origin.
+  uint64_t OriginateBcast();
+  // Filter check for a flood leg from a sibling; false = duplicate
+  // (counted, and the lpm.bcast.dup health rate recorded).
+  bool AcceptBcast(const std::string& origin, uint64_t seq);
+  // Sends `msg` to every sibling except `except_host`, each send scheduled
+  // under `label` and, under a valid `parent`, in a hop span `span`.
+  // Appends the hosts to `sent_to`; returns the dispatcher cost.
+  sim::SimDuration Flood(const Msg& msg, const std::string& except_host,
+                         const char* label, std::vector<std::string>* sent_to = nullptr,
+                         const obs::TraceContext& parent = {}, const char* span = "");
+  // The request/reply collective, C = SnapshotCollective or StatCollective:
+  // a tool's request (empty origin) starts a run, a sibling's is served.
+  template <typename C>
+  void HandleCollectiveReq(net::ConnId conn, const typename C::Req& req);
+  template <typename C>
+  void StartCollective(net::ConnId tool_conn, const typename C::Req& tool_req,
+                       host::Pid handler);
+  // Relays a reply one hop back along its route, or tallies it at the origin.
+  template <typename C>
+  void HandleCollectiveResp(const typename C::Resp& resp);
+  // Answers the tool with what the run holds (partial at the timeout).
+  template <typename C>
+  void FinishCollective(uint64_t bcast_seq);
 
   // live introspection (the STAT protocol; see wire.h)
-  void StartStat(net::ConnId tool_conn, uint64_t tool_req_id, bool dump_flight,
-                 host::Pid handler);
-  sim::SimDuration FloodStat(uint64_t bcast_seq, const StatReq& templ,
-                             const std::string& except_host,
-                             std::vector<std::string>* sent_to,
-                             const obs::TraceContext& parent = {});
-  void HandleStatReq(net::ConnId conn, const StatReq& req);
-  void HandleStatResp(const StatResp& resp);
-  void MaybeFinishStat(uint64_t bcast_seq);
-  void FinishStat(StatRun& run, uint64_t bcast_seq);
   // Samples this manager's structured self-description (one StatResp
   // record): role, queues, counters, store, flight recorder, health.
   LpmStatRecord BuildStatRecord();
+  // This manager's health verdict from its own counters.
+  obs::HealthReport ClassifyHealth() const;
 
   // stat watches (push-based monitoring)
   void HandleStatSubscribe(net::ConnId conn, const StatSubscribe& req);
-  void StartStatWatch(net::ConnId tool_conn, uint64_t tool_req_id,
-                      uint64_t interval_us, host::Pid handler);
-  // Sends the subscribe flood to every sibling except `except_host`
-  // (FloodStat's shape, StatSubscribe payload).
-  sim::SimDuration FloodStatSubscribe(const StatSubscribe& templ,
-                                      const std::string& except_host);
+  void StartStatWatch(net::ConnId tool_conn, const StatSubscribe& tool_req,
+                      host::Pid handler);
   void HandleStatDelta(net::ConnId conn, const StatDelta& delta);
   void HandleStatUnsubscribe(net::ConnId conn, const StatUnsubscribe& req);
   // Arms/re-arms the per-interval push timer for one watch.
@@ -507,6 +502,9 @@ class Lpm : public host::ProcessBody {
   // the subscribed tool at the origin).
   void PushStatDelta(const StatWatchKey& key);
   void DropStatWatch(const StatWatchKey& key, const char* why);
+  // Registers a watch whose deltas start from now.
+  void AddStatWatch(const StatWatchKey& key, StatWatch w);
+  StatCounters SampleStatCounters();
   StatDeltaRecord BuildStatDeltaRecord(StatWatch& w);
   // Total cpu charged to this user's processes on this host, exited and
   // live — the per-user accounting rollup's raw material.
@@ -589,9 +587,9 @@ class Lpm : public host::ProcessBody {
   // counts it, and fires matching watchers.  True = applied.
   bool ApplyEnvar(const std::string& key, const std::string& value,
                   uint64_t version, const std::string& origin);
-  // Sends `msg` to every sibling except `except_host` (flood leg shared
-  // by EnvarUpdate propagation and sync re-floods).
-  void FloodGroupMsg(const Msg& msg, const std::string& except_host);
+  // Originates the flood that spreads one envar version to every replica.
+  void FloodEnvar(const std::string& key, const std::string& value, uint64_t version,
+                  const std::string& version_origin);
 
   // durable store (src/store/)
   // Replays checkpoint+journal at boot and seeds the event log, trigger
@@ -644,7 +642,6 @@ class Lpm : public host::ProcessBody {
   std::string CcsClaim() const;
 
   uint64_t NextReqId() { return next_req_id_++; }
-  uint64_t NextBcastSeq() { return next_bcast_seq_++; }
   host::Kernel& kernel() { return host_.kernel(); }
   net::Network& network() { return host_.network(); }
   sim::Simulator& simulator() { return host_.simulator(); }
@@ -672,8 +669,8 @@ class Lpm : public host::ProcessBody {
   std::vector<Handler> handlers_;
   std::deque<QueuedWork> handler_queue_;
   FlatMap<uint64_t, PendingForward> pending_;
-  FlatMap<uint64_t, SnapshotRun> snapshots_;  // keyed by bcast seq
-  FlatMap<uint64_t, StatRun> stat_runs_;      // keyed by bcast seq
+  FlatMap<uint64_t, CollectiveRun<ProcRecord>> snapshots_;   // keyed by bcast seq
+  FlatMap<uint64_t, CollectiveRun<LpmStatRecord>> stat_runs_;  // keyed by bcast seq
   std::map<StatWatchKey, StatWatch> stat_watches_;  // <origin, watch_id>
   uint32_t queue_watermark_ = 0;  // handler queue depth high-watermark
   FlatMap<host::Pid, LocalProc> local_procs_;

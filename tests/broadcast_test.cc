@@ -1,6 +1,9 @@
-// broadcast_test.cc — duplicate suppression (Section 4) and the
-// graph-covering snapshot broadcast on cyclic sibling graphs.
+// broadcast_test.cc — duplicate suppression (Section 4), the origin's
+// coverage tally and reverse route, and the graph-covering snapshot and
+// STAT broadcasts on cyclic sibling graphs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/broadcast.h"
 #include "core/cluster.h"
@@ -11,8 +14,11 @@
 namespace ppm::core {
 namespace {
 
+using test::CollectiveKind;
+using test::CollectiveResult;
 using test::ConnectTool;
 using test::InstallTestUser;
+using test::IssueCollective;
 using test::kTestUid;
 using test::RunUntil;
 using tools::PpmClient;
@@ -51,6 +57,69 @@ TEST(BroadcastFilter, WindowBoundsMemory) {
   EXPECT_LE(filter.Size(1000 * 100'000), 101u);
 }
 
+// --- the origin's coverage tally and the reverse route -------------------------
+
+TEST(CoverageTally, OriginAloneIsDone) {
+  CoverageTally tally("a", {});
+  EXPECT_TRUE(tally.done());
+  EXPECT_EQ(tally.Covered(), std::vector<std::string>{"a"});
+}
+
+TEST(CoverageTally, DuplicateReplyRefused) {
+  CoverageTally tally("a", {"b", "c"});
+  EXPECT_TRUE(tally.Reply("b", {}));
+  EXPECT_FALSE(tally.Reply("b", {"d"}));  // no second count, no widening
+  EXPECT_FALSE(tally.Reply("a", {}));     // the origin counts as replied
+  EXPECT_FALSE(tally.done());
+  EXPECT_TRUE(tally.Reply("c", {}));
+  EXPECT_TRUE(tally.done());
+}
+
+TEST(CoverageTally, ForwardedToWidensOutstanding) {
+  // a floods to b; b re-floods to c and d, which a never addressed.
+  CoverageTally tally("a", {"b"});
+  EXPECT_TRUE(tally.Reply("b", {"c", "d"}));
+  EXPECT_FALSE(tally.done());
+  EXPECT_TRUE(tally.Reply("d", {}));
+  EXPECT_FALSE(tally.done());  // c still outstanding
+  EXPECT_TRUE(tally.Reply("c", {}));
+  EXPECT_TRUE(tally.done());
+}
+
+TEST(CoverageTally, HostThatAlreadyRepliedIsNotReExpected) {
+  // On a cycle a later reply can name a host that already answered.
+  CoverageTally tally("a", {"b", "c"});
+  EXPECT_TRUE(tally.Reply("c", {}));
+  EXPECT_TRUE(tally.Reply("b", {"c", "a"}));
+  EXPECT_TRUE(tally.done());
+}
+
+TEST(CoverageTally, CoveredIsSorted) {
+  CoverageTally tally("m", {"z", "b"});
+  tally.Reply("z", {"c"});
+  tally.Reply("c", {});
+  EXPECT_EQ(tally.Covered(), (std::vector<std::string>{"c", "m", "z"}));
+  tally.Reply("b", {});
+  EXPECT_EQ(tally.Covered(), (std::vector<std::string>{"b", "c", "m", "z"}));
+}
+
+TEST(PreviousHop, WalksTheRecordedRouteBackwards) {
+  const std::vector<std::string> route = {"a", "b", "c"};
+  const std::string* hop = PreviousHop(route, "c");
+  ASSERT_NE(hop, nullptr);
+  EXPECT_EQ(*hop, "b");
+  hop = PreviousHop(route, "b");
+  ASSERT_NE(hop, nullptr);
+  EXPECT_EQ(*hop, "a");
+}
+
+TEST(PreviousHop, NoneAtTheOriginOrOffTheRoute) {
+  const std::vector<std::string> route = {"a", "b", "c"};
+  EXPECT_EQ(PreviousHop(route, "a"), nullptr);
+  EXPECT_EQ(PreviousHop(route, "x"), nullptr);
+  EXPECT_EQ(PreviousHop({}, "a"), nullptr);
+}
+
 // --- snapshots over cyclic sibling graphs --------------------------------------
 
 class CyclicSnapshotTest : public ::testing::Test {
@@ -63,12 +132,15 @@ class CyclicSnapshotTest : public ::testing::Test {
     InstallTestUser(cluster_);
     cluster_.RunFor(sim::Millis(10));
   }
+  void CheckTriangleTerminates(CollectiveKind kind);
   Cluster cluster_;
 };
 
-TEST_F(CyclicSnapshotTest, TriangleSiblingGraphTerminates) {
-  // Build a *cyclic* sibling graph: a—b, b—c, c—a, by creating processes
-  // in a ring from tools on each host.
+// Builds a *cyclic* sibling graph, a—b, b—c, c—a, by creating processes
+// in a ring from tools on each host, then runs one broadcast of `kind`
+// from a.  The flood crosses the ring both ways; duplicate suppression
+// must stop it, and every host must answer exactly once.
+void CyclicSnapshotTest::CheckTriangleTerminates(CollectiveKind kind) {
   PpmClient* ta = ConnectTool(cluster_, "a");
   ASSERT_NE(ta, nullptr);
   std::optional<CreateResp> r1, r2, r3;
@@ -90,17 +162,32 @@ TEST_F(CyclicSnapshotTest, TriangleSiblingGraphTerminates) {
   ASSERT_EQ(b->sibling_hosts().size(), 2u);
   ASSERT_EQ(c->sibling_hosts().size(), 2u);
 
-  // Snapshot from a: the flood crosses the ring both ways; duplicate
-  // suppression must stop it, and all three hosts' records must arrive.
-  std::optional<SnapshotResp> snap;
-  ta->Snapshot([&](const SnapshotResp& r) { snap = r; });
-  ASSERT_TRUE(RunUntil(cluster_, [&] { return snap.has_value(); }, sim::Seconds(60)));
-  EXPECT_EQ(snap->records.size(), 3u);
-  EXPECT_EQ(snap->forwarded_to.size(), 3u);  // coverage: a, b, c
+  std::optional<CollectiveResult> result;
+  IssueCollective(cluster_, ta, kind, &result);
+  ASSERT_TRUE(RunUntil(cluster_, [&] { return result.has_value(); }, sim::Seconds(60)));
+  // One record per host (one process each; one manager each for STAT),
+  // and coverage names each host once.
+  std::vector<std::string> hosts = result->record_hosts;
+  std::sort(hosts.begin(), hosts.end());
+  const std::vector<std::string> abc = {"a", "b", "c"};
+  EXPECT_EQ(hosts, abc);
+  EXPECT_EQ(result->covered, abc);
+  // b and c each served the request once; the origin serves none.
+  EXPECT_EQ(a->stats().snapshots_served, 0u);
+  EXPECT_EQ(b->stats().snapshots_served, 1u);
+  EXPECT_EQ(c->stats().snapshots_served, 1u);
   // At least one duplicate was suppressed somewhere in the ring.
   uint64_t dups = a->stats().bcast_duplicates + b->stats().bcast_duplicates +
                   c->stats().bcast_duplicates;
   EXPECT_GE(dups, 1u);
+}
+
+TEST_F(CyclicSnapshotTest, TriangleSiblingGraphTerminates) {
+  CheckTriangleTerminates(CollectiveKind::kSnapshot);
+}
+
+TEST_F(CyclicSnapshotTest, TriangleSiblingGraphTerminatesForStat) {
+  CheckTriangleTerminates(CollectiveKind::kStat);
 }
 
 TEST_F(CyclicSnapshotTest, RepeatedSnapshotsUseFreshSequences) {

@@ -2,6 +2,9 @@
 // adoption, kernel events, load average, calibration.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+
 #include "host/calibration.h"
 #include "host/host.h"
 #include "host/kernel.h"
@@ -335,6 +338,20 @@ struct Table1Case {
   double la;
   double expect_ms;
 };
+
+// Prints a case as its cell, e.g. "vax780_la0_5".  Without it gtest
+// prints the struct's raw bytes, padding included, and the ctest names
+// derived from that output change from one test discovery to the next.
+void PrintTo(const Table1Case& c, std::ostream* os) {
+  const char* type = "";
+  switch (c.type) {
+    case HostType::kVax780: type = "vax780"; break;
+    case HostType::kVax750: type = "vax750"; break;
+    case HostType::kSun2: type = "sun2"; break;
+  }
+  const int tenths = static_cast<int>(std::lround(c.la * 10));
+  *os << type << "_la" << tenths / 10 << "_" << tenths % 10;
+}
 
 class Table1Fit : public ::testing::TestWithParam<Table1Case> {};
 

@@ -3,6 +3,8 @@
 // multi-user isolation, token rotation, concurrent circuit setup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/cluster.h"
 #include "core/lpm.h"
 #include "tests/test_util.h"
@@ -11,8 +13,11 @@
 namespace ppm::core {
 namespace {
 
+using test::CollectiveKind;
+using test::CollectiveResult;
 using test::ConnectTool;
 using test::InstallTestUser;
+using test::IssueCollective;
 using test::kTestUid;
 using test::kTestUser;
 using test::RunUntil;
@@ -47,7 +52,10 @@ TEST(LpmEdge, HandlerPoolSaturationQueuesAndDrains) {
   EXPECT_EQ(lpm->adopted_live_count(), 12u);
 }
 
-TEST(LpmEdge, SnapshotTimeoutReturnsPartialResults) {
+// Crashes c right as a broadcast of `kind` starts, so the origin floods
+// to it before the loss is detected.  The origin must answer at
+// snapshot_timeout with what it has: records from a and b, none from c.
+void CheckPartialResultsAtTimeout(CollectiveKind kind) {
   ClusterConfig config;
   config.lpm.snapshot_timeout = sim::Seconds(3);
   Cluster cluster(config);
@@ -59,27 +67,35 @@ TEST(LpmEdge, SnapshotTimeoutReturnsPartialResults) {
   cluster.RunFor(sim::Millis(10));
   PpmClient* client = ConnectTool(cluster, "a");
   ASSERT_NE(client, nullptr);
-  std::optional<CreateResp> c1, c2;
+  std::optional<CreateResp> c0, c1, c2;
+  client->CreateProcess("a", "w0", {}, [&](const CreateResp& r) { c0 = r; });
+  ASSERT_TRUE(RunUntil(cluster, [&] { return c0.has_value(); }));
   client->CreateProcess("b", "w1", {}, [&](const CreateResp& r) { c1 = r; });
   ASSERT_TRUE(RunUntil(cluster, [&] { return c1.has_value(); }));
   client->CreateProcess("c", "w2", {}, [&](const CreateResp& r) { c2 = r; });
   ASSERT_TRUE(RunUntil(cluster, [&] { return c2.has_value(); }));
 
-  // Cut c off *without* breaking circuits immediately: make the loss
-  // undetectable until after flood time by crashing c right as the
-  // snapshot starts.
-  std::optional<SnapshotResp> snap;
-  client->Snapshot([&](const SnapshotResp& r) { snap = r; });
+  std::optional<CollectiveResult> result;
+  const sim::SimTime issued = cluster.simulator().Now();
+  IssueCollective(cluster, client, kind, &result);
   cluster.Crash("c");
-  ASSERT_TRUE(RunUntil(cluster, [&] { return snap.has_value(); }, sim::Seconds(30)));
-  // b answered; c could not.  Partial results, not a hang.
-  bool saw_b = false, saw_c = false;
-  for (const auto& rec : snap->records) {
-    if (rec.gpid.host == "b") saw_b = true;
-    if (rec.gpid.host == "c") saw_c = true;
-  }
-  EXPECT_TRUE(saw_b);
-  EXPECT_FALSE(saw_c);
+  ASSERT_TRUE(RunUntil(cluster, [&] { return result.has_value(); }, sim::Seconds(30)));
+  // b answered; c could not.  Partial results at the timeout, not a hang.
+  const auto waited = static_cast<sim::SimDuration>(result->answered_at - issued);
+  EXPECT_GE(waited, sim::Seconds(3));
+  EXPECT_LT(waited, sim::Seconds(4));
+  std::vector<std::string> hosts = result->record_hosts;
+  std::sort(hosts.begin(), hosts.end());
+  EXPECT_EQ(hosts, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(result->covered, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(LpmEdge, SnapshotTimeoutReturnsPartialResults) {
+  CheckPartialResultsAtTimeout(CollectiveKind::kSnapshot);
+}
+
+TEST(LpmEdge, StatTimeoutReturnsPartialResults) {
+  CheckPartialResultsAtTimeout(CollectiveKind::kStat);
 }
 
 TEST(LpmEdge, InFlightRequestFailsWhenChannelBreaks) {

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,41 @@ inline tools::PpmClient* ConnectTool(core::Cluster& cluster, const std::string& 
   });
   if (!RunUntil(cluster, [&] { return done; })) return nullptr;
   return ok ? client : nullptr;
+}
+
+// Snapshot and STAT are one covering-graph request/reply broadcast with
+// different payloads; a property of the broadcast is checked for both.
+enum class CollectiveKind { kSnapshot, kStat };
+
+// What both report at the origin: the hosts that answered (the reply's
+// coverage list) and, per record, the host it describes.
+struct CollectiveResult {
+  std::vector<std::string> covered;
+  std::vector<std::string> record_hosts;
+  sim::SimTime answered_at = 0;  // virtual time the tool got the reply
+};
+
+// Issues one broadcast of `kind` through `client`; `*out` is set when the
+// origin answers.
+inline void IssueCollective(core::Cluster& cluster, tools::PpmClient* client,
+                            CollectiveKind kind, std::optional<CollectiveResult>* out) {
+  auto finish = [&cluster, out](const std::vector<std::string>& covered,
+                                std::vector<std::string> record_hosts) {
+    *out = CollectiveResult{covered, std::move(record_hosts), cluster.simulator().Now()};
+  };
+  if (kind == CollectiveKind::kSnapshot) {
+    client->Snapshot([finish](const core::SnapshotResp& r) {
+      std::vector<std::string> hosts;
+      for (const core::ProcRecord& rec : r.records) hosts.push_back(rec.gpid.host);
+      finish(r.forwarded_to, std::move(hosts));
+    });
+  } else {
+    client->Stat(/*dump_flight=*/false, [finish](const core::StatResp& r) {
+      std::vector<std::string> hosts;
+      for (const core::LpmStatRecord& rec : r.records) hosts.push_back(rec.host);
+      finish(r.forwarded_to, std::move(hosts));
+    });
+  }
 }
 
 // Runs a chaos plan at a seed and folds the outcome into a gtest

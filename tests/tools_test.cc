@@ -301,9 +301,15 @@ TEST(PpmStat, SixteenHostStarInOneBroadcastRound) {
   size_t ccs_count = 0;
   for (const core::LpmStatRecord& rec : result->records) {
     if (rec.is_ccs) ++ccs_count;
-    if (rec.host == "h0") EXPECT_EQ(rec.recovery_rank, 0);
-    if (rec.host == "h1") EXPECT_EQ(rec.recovery_rank, 1);
-    if (rec.host == "h2") EXPECT_EQ(rec.recovery_rank, -1);
+    if (rec.host == "h0") {
+      EXPECT_EQ(rec.recovery_rank, 0);
+    }
+    if (rec.host == "h1") {
+      EXPECT_EQ(rec.recovery_rank, 1);
+    }
+    if (rec.host == "h2") {
+      EXPECT_EQ(rec.recovery_rank, -1);
+    }
   }
   EXPECT_EQ(ccs_count, 1u);
 
