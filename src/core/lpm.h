@@ -50,6 +50,34 @@
 
 namespace ppm::core {
 
+// Protocol timings that no deployment tunes: fixed here, not in LpmConfig.
+//
+// Barrier decision window at the CCS: an epoch that has not reached its
+// expected count this long after the first join is decided as timed out
+// (with a straggler report).  Member LPMs run a local safety timeout at
+// twice this, after which waiters get an explicit *unknown* outcome
+// ("barrier verdict unreachable") — never a fabricated timeout, so a
+// released verdict and a timeout verdict can never coexist for one epoch
+// (group.no_split_release).
+inline constexpr sim::SimDuration kBarrierTimeout = sim::Seconds(10);
+// How long a recovering LPM waits for the CcsNameServer to answer before
+// falling back to the ~/.recovery walk.
+inline constexpr sim::SimDuration kNsQueryTimeout = sim::Millis(500);
+// First retry backoff; doubles per attempt, jittered 0.5x-1.5x from the
+// simulator rng so synchronized retry storms decorrelate.
+inline constexpr sim::SimDuration kRetryBase = sim::Millis(200);
+// Consecutive sibling-setup failures that trip the per-host circuit
+// breaker, and the initial quarantine before a half-open probe.
+inline constexpr uint32_t kBreakerThreshold = 3;
+inline constexpr sim::SimDuration kBreakerProbe = sim::Seconds(5);
+// Deadline on the whole sibling-setup exchange (pmd query, private channel
+// connect, hello/ack).  A frame lost on a faulty link can otherwise leave
+// the exchange half-done forever — conn open, no data, no close — which
+// wedges every waiter, including the recovery walk.  Unlike the overload
+// protection above, this is not gated on LpmConfig::overload_protection:
+// an unbounded wait is a liveness bug, not a degraded mode.
+inline constexpr sim::SimDuration kSiblingSetupTimeout = sim::Seconds(6);
+
 struct LpmConfig {
   // How long an idle LPM lingers after its host stops holding processes
   // of its user (paper Section 3).
@@ -70,21 +98,12 @@ struct LpmConfig {
   sim::SimDuration snapshot_timeout = sim::Seconds(10);
   // Forwarded-request timeout.
   sim::SimDuration request_timeout = sim::Seconds(10);
-  // Barrier decision window at the CCS: an epoch that has not reached
-  // its expected count this long after the first join is decided as
-  // timed out (with a straggler report).  Member LPMs run a local
-  // safety timeout at twice this, after which waiters get an explicit
-  // *unknown* outcome ("barrier verdict unreachable") — never a
-  // fabricated timeout, so a released verdict and a timeout verdict can
-  // never coexist for one epoch (group.no_split_release).
-  sim::SimDuration barrier_timeout = sim::Seconds(10);
   // Host running the CcsNameServer daemon; empty disables name-server-
   // assisted recovery (paper Section 5's sketched alternative) and the
   // ~/.recovery walk is used alone.  With a server configured, the LPM
   // registers whenever it assumes the CCS role and queries on failure,
   // falling back to the .recovery walk if the server cannot answer.
   std::string ccs_nameserver;
-  sim::SimDuration ns_query_timeout = sim::Millis(500);
   // Event history bound.
   size_t event_log_capacity = 4096;
   // Which events get recorded in the history (user-settable granularity).
@@ -118,21 +137,6 @@ struct LpmConfig {
   // Fast-failure retries per forwarded request (BUSY, channel lost,
   // sibling setup failure).  A full request_timeout expiry is final.
   uint32_t max_retries = 2;
-  // First retry backoff; doubles per attempt, jittered 0.5x-1.5x from
-  // the simulator rng so synchronized retry storms decorrelate.
-  sim::SimDuration retry_base = sim::Millis(200);
-  // Consecutive sibling-setup failures that trip the per-host circuit
-  // breaker, and the initial quarantine before a half-open probe.
-  uint32_t breaker_threshold = 3;
-  sim::SimDuration breaker_probe = sim::Seconds(5);
-  // Deadline on the whole sibling-setup exchange (pmd query, private
-  // channel connect, hello/ack).  A frame lost on a faulty link can
-  // otherwise leave the exchange half-done forever — conn open, no data,
-  // no close — which wedges every waiter, including the recovery walk.
-  // Unlike the rest of the overload knobs this is not gated on
-  // overload_protection: an unbounded wait is a liveness bug, not a
-  // degraded mode.
-  sim::SimDuration sibling_setup_timeout = sim::Seconds(6);
 };
 
 struct LpmStats {
@@ -190,7 +194,7 @@ class Lpm : public host::ProcessBody {
   uint64_t token() const { return token_; }
   net::SocketAddr accept_addr() const;
   LpmMode mode() const { return mode_; }
-  bool is_ccs() const { return is_ccs_; }
+  bool is_ccs() const { return ccs_host_ == host_name(); }
   // True while a recovery walk is in flight and undecided.  Chaos
   // quiescence checks need this: a walk started under a partition can
   // straddle the heal and only then tip the LPM into kDying, so "no walk
@@ -278,7 +282,7 @@ class Lpm : public host::ProcessBody {
   };
 
   // --- per-host circuit breaker ---------------------------------------------
-  // Trips after breaker_threshold consecutive sibling-setup failures;
+  // Trips after kBreakerThreshold consecutive sibling-setup failures;
   // while open (and before open_until) EnsureSibling fast-fails instead
   // of paying the connect timeout.  At open_until one half-open probe is
   // allowed: success closes the breaker, failure re-opens it with the
@@ -408,7 +412,9 @@ class Lpm : public host::ProcessBody {
   void StartForwardAttempt(uint64_t req_id);
   void ForwardAttemptFailed(uint64_t req_id, const std::string& why,
                             uint64_t min_backoff_us = 0);
-  void FailForward(uint64_t req_id, const std::string& why);
+  // Ends a pending forward: hands its callback the reply, or nullptr with
+  // the failure.
+  void SettleForward(uint64_t req_id, const Msg* reply, const std::string& why = {});
   void HandleBusy(const BusyResp& busy);
   // Circuit breaker.
   bool PeerQuarantined(const std::string& host) const;
@@ -418,34 +424,54 @@ class Lpm : public host::ProcessBody {
   // hello handling
   void HandleHello(net::ConnId conn, const Msg& msg, PeerInfo& info);
 
-  // request execution (local side)
-  void HandleCreate(net::ConnId conn, const CreateReq& req);
-  void HandleSignal(net::ConnId conn, const SignalReq& req);
-  void HandleRusage(net::ConnId conn, const RusageReq& req);
-  void HandleAdopt(net::ConnId conn, const AdoptReq& req);
-  void HandleTrace(net::ConnId conn, const TraceReq& req);
-  void HandleHistory(net::ConnId conn, const HistoryReq& req);
-  void HandleTrigger(net::ConnId conn, const TriggerReq& req);
-  void HandleFiles(net::ConnId conn, const FilesReq& req);
-  void HandleMigrate(net::ConnId conn, const MigrateReq& req);
-  void HandleResponse(const Msg& msg, uint64_t req_id);
+  // The request route (paper Section 6) of every request aimed at one
+  // host: admit and dispatch; when this host is the target, serve it with
+  // `serve` (the kind's Do<Kind>Local), else forward it under a fresh
+  // req_id and relay the typed reply, or an ok=false failure, under the
+  // caller's.  The handler is released once the reply is out.
+  template <typename Req, typename Resp>
+  void HandleHostReq(net::ConnId conn, const Req& req,
+                     void (Lpm::*serve)(const Req&, host::Pid,
+                                        std::function<void(const Resp&)>));
 
-  // local actions
+  // local actions: each kind's serve on its target host
   void DoCreateLocal(const CreateReq& req, host::Pid handler,
                      std::function<void(const CreateResp&)> done);
-  // Migrates a *local* adopted process to `req.dest_host` (checkpoint,
-  // re-create there with this process as logical parent, kill here).
-  void DoMigrateLocal(const MigrateReq& req, host::Pid handler,
-                      std::function<void(const MigrateResp&)> done);
   void DoSignalLocal(const SignalReq& req, host::Pid handler,
                      std::function<void(const SignalResp&)> done);
+  void DoRusageLocal(const RusageReq& req, host::Pid handler,
+                     std::function<void(const RusageResp&)> done);
+  void DoAdoptLocal(const AdoptReq& req, host::Pid handler,
+                    std::function<void(const AdoptResp&)> done);
+  void DoTraceLocal(const TraceReq& req, host::Pid handler,
+                    std::function<void(const TraceResp&)> done);
+  void DoHistoryLocal(const HistoryReq& req, host::Pid handler,
+                      std::function<void(const HistoryResp&)> done);
+  void DoTriggerLocal(const TriggerReq& req, host::Pid handler,
+                      std::function<void(const TriggerResp&)> done);
+  void DoFilesLocal(const FilesReq& req, host::Pid handler,
+                    std::function<void(const FilesResp&)> done);
+  // A tool's migrate: the handler's own work, then MigrateAdopted.
+  void DoMigrateLocal(const MigrateReq& req, host::Pid handler,
+                      std::function<void(const MigrateResp&)> done);
+  // Migrates a *local* adopted process to `req.dest_host` (checkpoint,
+  // re-create there with this process as logical parent, kill here).
+  void MigrateAdopted(const MigrateReq& req, host::Pid handler,
+                      std::function<void(const MigrateResp&)> done);
   std::vector<ProcRecord> ScanLocalProcesses();
 
   // forwarding
-  void ForwardToHost(const std::string& host, Msg msg, uint64_t my_req_id,
-                     host::Pid handler,
-                     std::function<void(const Msg*, const std::string&)> on_response,
+  // Sends `req` to `host`'s manager under req.req_id.  `on_reply` gets the
+  // reply narrowed to Resp, or nullptr with the failure (an empty one when
+  // the reply had another type).
+  template <typename Resp, typename Req>
+  void ForwardToHost(const std::string& host, const Req& req, host::Pid handler,
+                     std::function<void(const Resp*, const std::string&)> on_reply,
                      const obs::TraceContext& trace = {});
+  // ForwardToHost's body, kept out of the template so it is compiled once.
+  void ForwardMsg(const std::string& host, Msg msg, uint64_t my_req_id, host::Pid handler,
+                  std::function<void(const Msg*, const std::string&)> on_response,
+                  const obs::TraceContext& trace);
   void EnsureSibling(const std::string& host,
                      std::function<void(std::optional<net::ConnId>)> done);
   void FinishSiblingSetup(const std::string& host, const daemon::LpmResponse& resp);
@@ -529,7 +555,6 @@ class Lpm : public host::ProcessBody {
   // path).  Empty req.group skips membership bookkeeping.
   void DoGroupPartLocal(const GroupPartReq& req, host::Pid handler,
                         std::function<void(const GroupPartResp&)> done);
-  void HandleGroupPart(net::ConnId conn, const GroupPartReq& req);
   void HandleGroupUndo(net::ConnId conn, const GroupUndoReq& req);
   // Kills a local gang member and forgets its membership (rollback leg).
   void UndoLocalGroupMember(host::Pid target);
@@ -596,15 +621,24 @@ class Lpm : public host::ProcessBody {
   // table, rusage records, CCS hint and genealogy; re-adopts still-live
   // processes when the kernel generation matches.
   void WarmRestart(const store::RecoveredState& recovered);
-  // Journals a CCS change (no-op without a store).
-  void PersistCcs();
+  // Points this LPM at `host` as its CCS (this host itself included) and
+  // journals the change when a store is on.
+  void SetCcs(const std::string& host);
 
-  // signal delivery to an arbitrary GPid (trigger actions)
+  // signal delivery to, and migration of, an arbitrary GPid (trigger
+  // actions, group signal)
   void SignalGPid(const GPid& target, host::Signal sig,
                   std::function<void(bool, std::string)> done);
-  // migration of an arbitrary GPid (trigger actions)
   void MigrateGPid(const GPid& target, const std::string& dest,
                    std::function<void(bool, std::string)> done);
+  // The same route for the manager's own request about `req.target`, on a
+  // handler of its own: served here by `serve`, or forwarded under the
+  // req_id minted for it; `done` gets ok and the error.
+  template <typename Req, typename Resp>
+  void RouteOwnRequest(Req req,
+                       void (Lpm::*serve)(const Req&, host::Pid,
+                                          std::function<void(const Resp&)>),
+                       std::function<void(bool, std::string)> done);
 
   // lifetime
   void ReviewTtl();
@@ -682,8 +716,7 @@ class Lpm : public host::ProcessBody {
 
   // recovery state
   LpmMode mode_ = LpmMode::kNormal;
-  bool is_ccs_ = false;
-  std::string ccs_host_;
+  std::string ccs_host_;  // this host's name while it is the CCS
   sim::EventId ttl_event_ = sim::kInvalidEventId;
   sim::EventId death_event_ = sim::kInvalidEventId;
   sim::EventId probe_event_ = sim::kInvalidEventId;

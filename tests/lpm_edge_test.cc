@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include "core/cluster.h"
 #include "core/lpm.h"
@@ -265,6 +267,73 @@ TEST(LpmEdge, ConcurrentSiblingSetupYieldsOneCircuit) {
   ASSERT_NE(pmd, nullptr);
   EXPECT_EQ(pmd->stats().lpms_created, 1u);
 }
+
+// Two managers that dial each other within one link latency: both must
+// keep the same circuit (the one the lower-named host opened), not each
+// keep the other's and close its own, which loses both.
+struct CrossingCase {
+  const char* first;  // host whose tool sends its Create first
+  sim::SimDuration stagger;
+  bool protection;
+};
+
+void PrintTo(const CrossingCase& c, std::ostream* os) {
+  *os << c.first << " first, " << c.stagger << " us, protection "
+      << (c.protection ? "on" : "off");
+}
+
+class CrossingSetupTest : public ::testing::TestWithParam<CrossingCase> {};
+
+TEST_P(CrossingSetupTest, BothForwardsSucceedOverOneCircuit) {
+  const CrossingCase& c = GetParam();
+  ClusterConfig config;
+  config.lpm.overload_protection = c.protection;
+  Cluster cluster(config);
+  cluster.AddHost("a");
+  cluster.AddHost("b");
+  cluster.Link("a", "b");
+  InstallTestUser(cluster);
+  cluster.RunFor(sim::Millis(10));
+  PpmClient* tool_a = ConnectTool(cluster, "a");
+  PpmClient* tool_b = ConnectTool(cluster, "b");
+  ASSERT_NE(tool_a, nullptr);
+  ASSERT_NE(tool_b, nullptr);
+  const bool a_first = std::string(c.first) == "a";
+  PpmClient* first = a_first ? tool_a : tool_b;
+  PpmClient* second = a_first ? tool_b : tool_a;
+
+  // Each tool creates a process on the other host, so each manager opens
+  // a sibling circuit toward the other.
+  std::optional<CreateResp> r1, r2;
+  first->CreateProcess(a_first ? "b" : "a", "w1", {},
+                       [&](const CreateResp& r) { r1 = r; });
+  if (c.stagger > 0) cluster.RunFor(c.stagger);
+  second->CreateProcess(a_first ? "a" : "b", "w2", {},
+                        [&](const CreateResp& r) { r2 = r; });
+  ASSERT_TRUE(RunUntil(cluster, [&] { return r1.has_value() && r2.has_value(); }));
+  EXPECT_TRUE(r1->ok) << r1->error;
+  EXPECT_TRUE(r2->ok) << r2->error;
+  for (const char* h : {"a", "b"}) {
+    Lpm* lpm = cluster.FindLpm(h, kTestUid);
+    ASSERT_NE(lpm, nullptr) << h;
+    EXPECT_EQ(lpm->stats().retries, 0u) << h;
+    EXPECT_EQ(lpm->sibling_hosts().size(), 1u) << h;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothOrders, CrossingSetupTest,
+    ::testing::Values(CrossingCase{"a", 0, true}, CrossingCase{"a", 0, false},
+                      CrossingCase{"a", sim::Millis(2), true},
+                      CrossingCase{"a", sim::Millis(2), false},
+                      CrossingCase{"b", 0, true}, CrossingCase{"b", 0, false},
+                      CrossingCase{"b", sim::Millis(2), true},
+                      CrossingCase{"b", sim::Millis(2), false}),
+    [](const auto& info) {
+      const CrossingCase& c = info.param;
+      return std::string(c.first) + "First_" + std::to_string(c.stagger / 1000) + "ms_" +
+             (c.protection ? "Protected" : "Unprotected");
+    });
 
 TEST(LpmEdge, GracefulSigtermExitDoesNotTriggerSiblingRecovery) {
   Cluster cluster;

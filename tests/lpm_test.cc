@@ -3,6 +3,10 @@
 // adoption, handler pool, and time-to-live.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <ostream>
+
 #include "core/cluster.h"
 #include "core/lpm.h"
 #include "tests/test_util.h"
@@ -469,6 +473,110 @@ TEST_F(LpmTest, ForkPerRequestPolicyCreatesHandlerPerRequest) {
   EXPECT_EQ(lpm->stats().handlers_created, 4u);
   EXPECT_EQ(lpm->stats().handler_reuses, 0u);
 }
+
+// --- the request route ------------------------------------------------------------
+
+// Every host-targeted request kind takes one route: served on its target's
+// host, or forwarded there and the answer relayed.
+using RouteDone = std::function<void(bool ok, const std::string& error)>;
+
+struct RouteCase {
+  const char* name;
+  // Issues the kind toward `host`, or toward `proc` (a process adopted
+  // there) for the kinds that name a process.
+  void (*issue)(PpmClient& client, const std::string& host, const GPid& proc,
+                RouteDone done);
+};
+
+void PrintTo(const RouteCase& c, std::ostream* os) { *os << c.name; }
+
+template <typename Resp>
+std::function<void(const Resp&)> Answer(RouteDone done) {
+  return [done](const Resp& r) { done(r.ok, r.error); };
+}
+
+const RouteCase kRouteCases[] = {
+    {"Create",
+     [](PpmClient& c, const std::string& host, const GPid&, RouteDone d) {
+       c.CreateProcess(host, "w", {}, Answer<CreateResp>(d));
+     }},
+    {"Signal",
+     [](PpmClient& c, const std::string&, const GPid& proc, RouteDone d) {
+       c.Signal(proc, host::Signal::kSigStop, Answer<SignalResp>(d));
+     }},
+    {"Rusage",
+     [](PpmClient& c, const std::string& host, const GPid&, RouteDone d) {
+       c.Rusage(host, Answer<RusageResp>(d));
+     }},
+    {"Adopt",
+     [](PpmClient& c, const std::string&, const GPid& proc, RouteDone d) {
+       c.Adopt(proc, host::kTraceAll, Answer<AdoptResp>(d));
+     }},
+    {"Trace",
+     [](PpmClient& c, const std::string&, const GPid& proc, RouteDone d) {
+       c.SetTraceMask(proc, host::kTraceAll, Answer<TraceResp>(d));
+     }},
+    {"History",
+     [](PpmClient& c, const std::string& host, const GPid&, RouteDone d) {
+       c.History(host, host::kNoPid, 0, Answer<HistoryResp>(d));
+     }},
+    {"Trigger",
+     [](PpmClient& c, const std::string& host, const GPid&, RouteDone d) {
+       c.InstallTrigger(host, TriggerSpec{}, Answer<TriggerResp>(d));
+     }},
+    {"Files",
+     [](PpmClient& c, const std::string&, const GPid& proc, RouteDone d) {
+       c.OpenFiles(proc, Answer<FilesResp>(d));
+     }},
+    {"Migrate",
+     [](PpmClient& c, const std::string&, const GPid& proc, RouteDone d) {
+       c.Migrate(proc, "a", Answer<MigrateResp>(d));
+     }},
+};
+
+class LpmRouteTest : public ::testing::TestWithParam<RouteCase> {};
+
+TEST_P(LpmRouteTest, ServesAcrossOneHopAndFailsTowardUnknownHost) {
+  Cluster cluster;
+  cluster.AddHost("a");
+  cluster.AddHost("b");
+  cluster.Link("a", "b");
+  InstallTestUser(cluster);
+  cluster.RunFor(sim::Millis(10));
+  PpmClient* client = ConnectTool(cluster, "a");
+  ASSERT_NE(client, nullptr);
+  std::optional<CreateResp> made;
+  client->CreateProcess("b", "w", {}, [&](const CreateResp& r) { made = r; });
+  ASSERT_TRUE(RunUntil(cluster, [&] { return made.has_value(); }));
+  ASSERT_TRUE(made->ok) << made->error;
+
+  struct Outcome {
+    bool ok = false;
+    std::string error = "no answer";
+  };
+  auto issue = [&](const std::string& host, const GPid& proc) {
+    auto out = std::make_shared<std::optional<Outcome>>();
+    GetParam().issue(*client, host, proc, [out](bool ok, const std::string& err) {
+      *out = Outcome{ok, err};
+    });
+    EXPECT_TRUE(RunUntil(cluster, [&] { return out->has_value(); }));
+    return out->value_or(Outcome{});
+  };
+  Outcome hop = issue("b", made->gpid);
+  EXPECT_TRUE(hop.ok) << hop.error;
+  Outcome unknown = issue("nowhere", GPid{"nowhere", made->gpid.pid});
+  EXPECT_FALSE(unknown.ok);
+  EXPECT_EQ(unknown.error, "sibling unreachable");
+
+  // Nothing of either request is left behind at the origin.
+  Lpm* origin = cluster.FindLpm("a", kTestUid);
+  ASSERT_NE(origin, nullptr);
+  EXPECT_EQ(origin->pending_forward_count(), 0u);
+  EXPECT_EQ(origin->queued_request_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(NineKinds, LpmRouteTest, ::testing::ValuesIn(kRouteCases),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 // --- time-to-live -----------------------------------------------------------------
 

@@ -325,7 +325,7 @@ TEST(OverloadBreakerTest, TripsQuarantinesAndReadmits) {
   ASSERT_NE(origin, nullptr);
 
   // One forwarded request burns its initial attempt plus max_retries
-  // reconnects against the dead host — breaker_threshold consecutive
+  // reconnects against the dead host — core::kBreakerThreshold consecutive
   // setup failures — and trips the breaker.
   std::optional<CreateResp> tripped;
   client->CreateProcess("vaxB", "w", {},
@@ -352,7 +352,7 @@ TEST(OverloadBreakerTest, TripsQuarantinesAndReadmits) {
   // the next forward is the half-open probe — it succeeds and closes
   // the breaker.
   cluster.Reboot("vaxB");
-  cluster.RunFor(config.lpm.breaker_probe + sim::Seconds(2));
+  cluster.RunFor(core::kBreakerProbe + sim::Seconds(2));
   std::optional<CreateResp> readmitted;
   client->CreateProcess("vaxB", "w", {},
                         [&](const CreateResp& r) { readmitted = r; });
